@@ -4,76 +4,7 @@ Synthesizes radar pulse trains, WLAN/LTE-like interferers and noise;
 computes amplitude, phase-difference, spectrogram and AP representations;
 trains from-scratch CNN detectors (S / A / P / AP variants); and scores
 them with accuracy reports and detection-probability curves over PSNR.
+Import the submodules (``radarmon.dataset``, ``radarmon.nn``, ...) directly.
 """
-
-from .iqcore import (
-    CHUNK_LEN,
-    LABEL_RADAR_ABSENT,
-    LABEL_RADAR_PRESENT,
-    Emitter,
-    IqChunk,
-    PulseAnnotation,
-    SampleStream,
-    chunk_stream,
-    make_chunk,
-    radar_mask,
-    read_iq_file,
-    stream_window,
-    write_iq_file,
-)
-from .radar import (
-    BARKER13,
-    AntennaProfile,
-    BarkerPm,
-    Constant,
-    Ipm,
-    Jitter,
-    Lfm,
-    NO_JITTER,
-    Pc,
-    RadarParams,
-    Scan,
-    synth_pulse,
-    synth_pulse_train,
-)
-from .emitters import LteParams, WlanParams, synth_lte, synth_noise, synth_wlan
-from .channel import ChannelSpec, apply_cfo, apply_multipath, mix
-from .represent import (
-    amplitude,
-    ap_inverse,
-    ap_tensor,
-    dft_mag,
-    model_input,
-    phase_diff,
-    spectrogram,
-)
-from .nn import (
-    CnnModel,
-    OptimizerState,
-    backward,
-    build_model,
-    forward,
-    load_model,
-    save_model,
-    sgd_step,
-    train,
-)
-from .dataset import (
-    BuiltDataset,
-    DatasetManifest,
-    ManifestEntry,
-    PsnrSet,
-    ScenarioConfig,
-    TABLE_WAVEFORMS,
-    WaveformSpec,
-    build_dataset,
-    build_psnr_sets,
-    estimate_psnr,
-    load_chunk,
-    load_manifest,
-    save_manifest,
-    synth_entry_chunk,
-)
-from .evaluate import EvalReport, PdCurve, PdPoint, emit_curves, evaluate, pd_curve, spearman
 
 __version__ = "0.1.0"

@@ -1,19 +1,30 @@
 """Command-line front end: synth, dataset, train, eval, repr.
 
-Experiment definitions live in JSON config files (validated before any
-work starts); flags carry only paths.  Exit codes: 0 ok, 1 user error
-(bad config/paths), 2 internal error.  The RADARMON_WORKERS environment
-variable caps dataset-build parallelism; chunk RNG streams derive from
-(seed, split, index) so the worker count never changes the output.
+Experiments live in JSON config files; flags carry only paths.  Each config
+section is the keyword arguments of one dataclass, whose ``__init__`` fields
+are the section's keys and defaults: synth is ``SynthConfig`` (sections
+radar, wlan = ``emitters.WlanParams``, lte = ``emitters.LteParams``, noise);
+dataset is ``DatasetConfig`` (scenario = ``dataset.ScenarioConfig``,
+psnr_sweep); train is ``TrainConfig`` (optimizer = ``nn.OptimizerState``);
+eval is ``EvalConfig``.  Waveforms are named.  Unknown keys, wrong types and
+out-of-range values are reported before any work starts.
+
+Exit codes: 0 success; 1 a bad config or a missing input file; 2 any other
+failure, with its traceback on stderr.  RADARMON_WORKERS (default 1) sets
+the dataset-build process count; the output does not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+import types
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,129 +32,170 @@ import numpy as np
 from . import dataset as ds
 from . import emitters, evaluate, nn, radar, represent
 from .iqcore import read_iq_file, write_iq_file, radar_mask, make_chunk
+from .schema import fits, require, type_name
 
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(doc: dict, allowed: dict, prefix: str = "") -> None:
-    for key, value in doc.items():
-        path = f"{prefix}{key}"
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {path}")
-        sub = allowed[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path} must be an object")
-            _check_keys(value, sub, prefix=f"{path}.")
-
-
-_SCENARIO_KEYS = {
-    "train_per_class": None, "test_per_class": None, "waveforms": None,
-    "carrier_offsets_hz": None, "class0_mix": None, "class1_mix": None,
-    "sample_rate_hz": None, "pri_s": None, "radar_peak_amplitude": None,
-    "psnr_range_db": None, "su_power_range": None, "multipath_delay_range": None,
-    "multipath_mag_range": None, "min_visible_samples": None, "seed": None,
-}
-_OPTIMIZER_KEYS = {
-    "base_lr": None, "momentum": None, "weight_decay": None, "lr_drop_every": None,
-    "lr_drop_factor": None, "batch_size": None, "total_iterations": None,
-}
-_SCHEMAS = {
-    "synth": {
-        "emitter": None, "duration_s": None, "seed": None, "sample_rate_hz": None,
-        "radar": {"waveform": None, "pw_s": None, "f_e_hz": None, "pri_s": None,
-                  "carrier_offset_hz": None, "peak_amplitude": None},
-        "wlan": {"bandwidth_hz": None, "burst_len_s": None, "idle_len_s": None,
-                 "center_offsets_hz": None, "power": None},
-        "lte": {"bandwidth_hz": None, "load": None, "reference_burst": None, "power": None},
-        "noise": {"power": None},
-    },
-    "dataset": {"scenario": _SCENARIO_KEYS,
-                "psnr_sweep": {"targets_db": None, "chunks_per_set": None,
-                               "waveforms": None, "seed": None}},
-    "train": {"variant": None, "width_scale": None, "seed": None,
-              "optimizer": _OPTIMIZER_KEYS},
-    "eval": {"threshold": None},
-}
-
 _WAVEFORMS_BY_NAME = {w.name: w for w in ds.TABLE_WAVEFORMS}
 
 
-def _load_config(path: str, schema_name: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+@dataclass(frozen=True)
+class RadarConfig:
+    waveform: ds.WaveformSpec = _WAVEFORMS_BY_NAME["pc10"]
+    pw_s: float | None = None  # None: the waveform's own pulse width
+    pri_s: float = ds.ScenarioConfig.pri_s
+    carrier_offset_hz: float = radar.RadarParams.carrier_offset_hz
+    peak_amplitude: float = ds.ScenarioConfig.radar_peak_amplitude
+
+    def params(self) -> radar.RadarParams:
+        return radar.RadarParams(
+            ipm=self.waveform.ipm,
+            pw_s=self.waveform.pw_s if self.pw_s is None else self.pw_s,
+            pri_s=self.pri_s,
+            carrier_offset_hz=self.carrier_offset_hz,
+            amplitude_profile=radar.Constant(self.peak_amplitude),
+        )
+
+
+@dataclass(frozen=True)
+class NoiseConfig:
+    power: float = 1.0
+
+    def __post_init__(self):
+        require(self.power >= 0, "power must be >= 0")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    emitter: str
+    duration_s: float = 10e-3
+    sample_rate_hz: float = ds.ScenarioConfig.sample_rate_hz
+    seed: int = 0
+    radar: RadarConfig = RadarConfig()
+    wlan: emitters.WlanParams = emitters.WlanParams()
+    lte: emitters.LteParams = emitters.LteParams()
+    noise: NoiseConfig = NoiseConfig()
+
+    def __post_init__(self):
+        require(self.emitter in ("radar", "wlan", "lte", "noise"),
+                "emitter must be radar, wlan, lte or noise")
+        shortest = {"radar": self.radar.pri_s, "wlan": self.wlan.burst_len_s[0],
+                    "lte": emitters.LTE_SYMBOL_S, "noise": 0.0}[self.emitter]
+        require(self.duration_s > shortest, f"duration_s must exceed {shortest:g} s for this emitter")
+        if self.emitter == "radar":
+            pulse = self.radar.params()  # RadarParams checks 0 < pw_s < pri_s
+            require(round(pulse.pw_s * self.sample_rate_hz) >= 2, "radar.pw_s must span >= 2 samples")
+            require(abs(pulse.carrier_offset_hz) < self.sample_rate_hz / 2,
+                    "radar.carrier_offset_hz must be below Nyquist")
+
+
+@dataclass(frozen=True)
+class PsnrSweep:
+    targets_db: tuple[float, ...] = tuple(range(-6, 22, 3))
+    chunks_per_set: int = 200
+    waveforms: tuple[ds.WaveformSpec, ...] = ds.TABLE_WAVEFORMS
+    seed: int = 0
+
+    def __post_init__(self):
+        require(len(self.targets_db) > 0 and len(self.waveforms) > 0,
+                "targets_db and waveforms must not be empty")
+        require(self.chunks_per_set >= 1, "chunks_per_set must be >= 1")
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    scenario: ds.ScenarioConfig | None = None
+    psnr_sweep: PsnrSweep | None = None
+
+    def __post_init__(self):
+        require(self.scenario or self.psnr_sweep, "dataset needs a scenario or psnr_sweep section")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    variant: str = "AP"
+    width_scale: float = 1.0
+    seed: int = 0
+    optimizer: nn.OptimizerState = field(default_factory=nn.OptimizerState)
+
+    def __post_init__(self):
+        require(self.variant in nn.INPUT_SHAPES, f"variant must be one of {sorted(nn.INPUT_SHAPES)}")
+        require(self.width_scale > 0, "width_scale must be positive")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    threshold: float = 0.5
+
+
+def from_dict(cls, doc, path: str = ""):
+    """Build dataclass ``cls`` from a JSON object whose keys are its init fields.
+
+    Nested objects become nested dataclasses, lists become tuples and
+    waveform names become ``WaveformSpec``s.  Each value is checked against
+    its field's annotation here; ``cls.__post_init__`` checks the ranges.
+    """
+    where = path or "config"
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    _check_keys(doc, _SCHEMAS[schema_name])
-    return doc
-
-
-def _scenario_from_config(doc: dict) -> ds.ScenarioConfig:
-    kwargs = dict(doc)
-    if "waveforms" in kwargs:
-        try:
-            kwargs["waveforms"] = tuple(_WAVEFORMS_BY_NAME[n] for n in kwargs["waveforms"])
-        except KeyError as exc:
-            raise ConfigError(f"unknown waveform name {exc.args[0]!r}")
-    for key in ("carrier_offsets_hz", "class0_mix", "class1_mix", "psnr_range_db",
-                "su_power_range", "multipath_delay_range", "multipath_mag_range"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls) if f.init}
+    kwargs = {}
+    for key, value in doc.items():
+        key_path = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ConfigError(f"unknown config key: {key_path}")
+        kwargs[key] = _from_json(hints[key], value, key_path)
+        if not fits(hints[key], kwargs[key]):
+            raise ConfigError(f"{key_path} must be {type_name(hints[key])}, got {value!r}")
     try:
-        return ds.ScenarioConfig(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario config: {exc}")
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _from_json(hint, value, path: str):
+    if isinstance(hint, types.UnionType):  # X | None
+        hint = next(h for h in typing.get_args(hint) if h is not type(None))
+    if hint is ds.WaveformSpec:
+        if not isinstance(value, str) or value not in _WAVEFORMS_BY_NAME:
+            raise ConfigError(f"{path}: unknown waveform name {value!r}")
+        return _WAVEFORMS_BY_NAME[value]
+    if dataclasses.is_dataclass(hint):
+        return from_dict(hint, value, path)
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        item = typing.get_args(hint)[0]
+        return tuple(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def _init_kwargs(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+
+
+def _load_config(path: str, cls):
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    return from_dict(cls, doc)
 
 
 def cmd_synth(args) -> int:
-    doc = _load_config(args.config, "synth")
-    kind = doc.get("emitter")
-    if kind not in ("radar", "wlan", "lte", "noise"):
-        raise ConfigError("synth config requires emitter: radar|wlan|lte|noise")
-    fs = doc.get("sample_rate_hz", 20e6)
-    duration = doc.get("duration_s", 10e-3)
-    seed = doc.get("seed", 0)
-    if kind == "radar":
-        sub = doc.get("radar", {})
-        name = sub.get("waveform", "pc10")
-        if name not in _WAVEFORMS_BY_NAME:
-            raise ConfigError(f"unknown waveform name {name!r}")
-        spec = _WAVEFORMS_BY_NAME[name]
-        params = radar.RadarParams(
-            ipm=spec.ipm,
-            pw_s=sub.get("pw_s", spec.pw_s),
-            pri_s=sub.get("pri_s", 1e-3),
-            carrier_offset_hz=sub.get("carrier_offset_hz", 0.0),
-            amplitude_profile=radar.Constant(sub.get("peak_amplitude", 1.0)),
-        )
-        stream = radar.synth_pulse_train(params, duration, fs, seed=seed)
-    elif kind == "wlan":
-        sub = doc.get("wlan", {})
-        params = emitters.WlanParams(
-            bandwidth_hz=sub.get("bandwidth_hz", 16.6e6),
-            center_offsets_hz=tuple(sub.get("center_offsets_hz", (0.0,))),
-            power=sub.get("power", 1.0),
-        )
-        stream = emitters.synth_wlan(params, duration, fs, seed=seed)
-    elif kind == "lte":
-        sub = doc.get("lte", {})
-        params = emitters.LteParams(
-            bandwidth_hz=sub.get("bandwidth_hz", 10e6),
-            load=sub.get("load", 0.5),
-            reference_burst=sub.get("reference_burst", True),
-            power=sub.get("power", 1.0),
-        )
-        stream = emitters.synth_lte(params, duration, fs, seed=seed)
+    cfg = _load_config(args.config, SynthConfig)
+    fs, duration, seed = cfg.sample_rate_hz, cfg.duration_s, cfg.seed
+    if cfg.emitter == "radar":
+        stream = radar.synth_pulse_train(cfg.radar.params(), duration, fs, seed=seed)
+    elif cfg.emitter == "wlan":
+        stream = emitters.synth_wlan(cfg.wlan, duration, fs, seed=seed)
+    elif cfg.emitter == "lte":
+        stream = emitters.synth_lte(cfg.lte, duration, fs, seed=seed)
     else:
-        sub = doc.get("noise", {})
-        stream = emitters.synth_noise(duration, fs, sub.get("power", 1.0), seed=seed)
+        stream = emitters.synth_noise(duration, fs, cfg.noise.power, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_iq_file(stream, out)
@@ -151,123 +203,37 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_entry(payload):
-    cfg, split, index, label = payload
-    chunk, meta = ds.synth_entry_chunk(cfg, split, index, label)
-    return index, chunk, meta
-
-
 def cmd_dataset(args) -> int:
-    doc = _load_config(args.config, "dataset")
+    cfg = _load_config(args.config, DatasetConfig)
+    workers = os.environ.get("RADARMON_WORKERS", "1")
+    if not workers.isdigit() or int(workers) < 1:
+        raise ConfigError(f"RADARMON_WORKERS must be a positive integer, got {workers!r}")
     out_dir = Path(args.out)
-    workers = int(os.environ.get("RADARMON_WORKERS", "1"))
-    if "scenario" in doc:
-        cfg = _scenario_from_config(doc["scenario"])
-        if workers > 1:
-            _build_dataset_parallel(cfg, out_dir, workers)
-        else:
-            ds.build_dataset(cfg, out_dir)
-        n = 2 * (cfg.train_per_class + cfg.test_per_class)
+    if cfg.scenario:
+        ds.build_dataset(cfg.scenario, out_dir, workers=int(workers))
+        n = 2 * (cfg.scenario.train_per_class + cfg.scenario.test_per_class)
         print(f"wrote {n} chunks and manifests to {out_dir}")
-    if "psnr_sweep" in doc:
-        sweep = doc["psnr_sweep"]
-        names = sweep.get("waveforms", [w.name for w in ds.TABLE_WAVEFORMS])
-        try:
-            waveforms = tuple(_WAVEFORMS_BY_NAME[n] for n in names)
-        except KeyError as exc:
-            raise ConfigError(f"unknown waveform name {exc.args[0]!r}")
-        sets = ds.build_psnr_sets(
-            waveforms,
-            sweep.get("targets_db", list(range(-6, 22, 3))),
-            sweep.get("chunks_per_set", 200),
-            seed=sweep.get("seed", 0),
-        )
-        _write_psnr_sets(sets, out_dir)
+    if cfg.psnr_sweep:
+        sweep = cfg.psnr_sweep
+        sets = ds.build_psnr_sets(sweep.waveforms, sweep.targets_db, sweep.chunks_per_set, sweep.seed)
+        ds.save_psnr_sets(sets, out_dir)
         print(f"wrote {len(sets)} PSNR sets to {out_dir / 'psnr'}")
-    if "scenario" not in doc and "psnr_sweep" not in doc:
-        raise ConfigError("dataset config requires a scenario or psnr_sweep section")
     return 0
 
 
-def _build_dataset_parallel(cfg: ds.ScenarioConfig, out_dir: Path, workers: int) -> None:
-    (out_dir / "chunks").mkdir(parents=True, exist_ok=True)
-    for split in ("train", "test"):
-        per_class = cfg.train_per_class if split == "train" else cfg.test_per_class
-        jobs = [(cfg, split, i, i % 2) for i in range(2 * per_class)]
-        entries = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, chunk, meta in pool.map(_build_entry, jobs, chunksize=16):
-                rel = f"chunks/{split}_{index:06d}.iq"
-                write_iq_file(ds.chunk_to_stream(chunk, cfg.sample_rate_hz), out_dir / rel)
-                entries[index] = ds.ManifestEntry(
-                    path=rel, label=chunk.label, provenance=chunk.provenance,
-                    waveform=meta["waveform"], carrier_offset_hz=meta["carrier_offset_hz"],
-                )
-        manifest = ds.DatasetManifest(
-            split, cfg.seed, tuple(entries[i] for i in sorted(entries))
-        )
-        ds.save_manifest(manifest, out_dir / f"manifest_{split}.json")
-
-
-def _write_psnr_sets(sets, out_dir: Path) -> None:
-    root = Path(out_dir)
-    (root / "psnr").mkdir(parents=True, exist_ok=True)
-    index = []
-    for si, pset in enumerate(sets):
-        paths = []
-        for ci, chunk in enumerate(pset.chunks):
-            rel = f"psnr/{pset.waveform}_{si:03d}_{ci:04d}.iq"
-            write_iq_file(ds.chunk_to_stream(chunk), root / rel)
-            paths.append(rel)
-        index.append({
-            "waveform": pset.waveform,
-            "target_psnr_db": pset.target_psnr_db,
-            "measured_psnr_db": pset.measured_psnr_db,
-            "paths": paths,
-        })
-    with open(root / "psnr_sets.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_psnr_sets(root: Path):
-    index_path = root / "psnr_sets.json"
-    if not index_path.exists():
-        raise ConfigError(f"missing PSNR set index {index_path}")
-    with open(index_path) as fh:
-        index = json.load(fh)
-    sets = []
-    for item in index:
-        chunks = []
-        for rel in item["paths"]:
-            stream = read_iq_file(root / rel)
-            mask = radar_mask(stream.annotations, len(stream))
-            chunks.append(make_chunk(stream.samples, mask, "radar+noise"))
-        sets.append(ds.PsnrSet(
-            waveform=item["waveform"],
-            target_psnr_db=item["target_psnr_db"],
-            measured_psnr_db=item["measured_psnr_db"],
-            chunks=tuple(chunks),
-        ))
-    return sets
-
-
 def cmd_train(args) -> int:
-    doc = _load_config(args.config, "train")
-    variant = doc.get("variant", "AP")
-    if variant not in nn.INPUT_SHAPES:
-        raise ConfigError(f"unknown model variant {variant!r}")
+    cfg = _load_config(args.config, TrainConfig)
     manifest = ds.load_manifest(args.manifest)
     root = Path(args.manifest).parent
     chunks = [ds.load_chunk(root, e) for e in manifest.entries]
     labels = np.array([e.label for e in manifest.entries], dtype=np.intp)
-    x = np.stack([represent.model_input(c, variant) for c in chunks]).astype(np.float32)
+    x = np.stack([represent.model_input(c, cfg.variant) for c in chunks]).astype(np.float32)
     model, losses = nn.train(
-        variant,
+        cfg.variant,
         (x, labels),
-        opt_overrides=doc.get("optimizer"),
-        seed=doc.get("seed", 0),
-        width_scale=doc.get("width_scale", 1.0),
+        opt_overrides=_init_kwargs(cfg.optimizer),
+        seed=cfg.seed,
+        width_scale=cfg.width_scale,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -277,30 +243,27 @@ def cmd_train(args) -> int:
         loss_path.parent.mkdir(parents=True, exist_ok=True)
         lines = ["iteration,loss"] + [f"{i},{v:.6f}" for i, v in enumerate(losses)]
         loss_path.write_text("\n".join(lines) + "\n")
-    print(f"trained {variant} for {len(losses)} iterations; model at {out}")
+    print(f"trained {cfg.variant} for {len(losses)} iterations; model at {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    threshold = 0.5
-    if args.config:
-        doc = _load_config(args.config, "eval")
-        threshold = doc.get("threshold", 0.5)
+    cfg = _load_config(args.config, EvalConfig) if args.config else EvalConfig()
+    if not args.manifest and not args.psnr_dir:
+        raise ConfigError("eval requires --manifest and/or --psnr-dir")
     model = nn.load_model(args.model)
     out_dir = Path(args.out)
     reports, curves = [], []
     if args.manifest:
         manifest = ds.load_manifest(args.manifest)
         report = evaluate.evaluate_manifest(
-            model, manifest, Path(args.manifest).parent, threshold=threshold
+            model, manifest, Path(args.manifest).parent, threshold=cfg.threshold
         )
         reports.append(report)
         print(f"{model.variant} accuracy on {manifest.split}: {report.accuracy:.4f}")
     if args.psnr_dir:
-        sets = _read_psnr_sets(Path(args.psnr_dir))
-        curves.extend(evaluate.pd_curve(model, sets, threshold=threshold))
-    if not reports and not curves:
-        raise ConfigError("eval requires --manifest and/or --psnr-dir")
+        sets = ds.load_psnr_sets(args.psnr_dir)
+        curves.extend(evaluate.pd_curve(model, sets, threshold=cfg.threshold))
     written = evaluate.emit_curves(reports, curves, out_dir)
     print(f"wrote {len(written)} files to {out_dir}")
     return 0
@@ -311,20 +274,16 @@ _REPR_KINDS = {
     "phase_diff": represent.phase_diff,
     "spectrogram": represent.spectrogram,
     "dft": represent.dft_mag,
+    "ap": lambda chunk: np.hstack(np.moveaxis(represent.ap_tensor(chunk), -1, 0)),  # [A | P]
 }
 
 
 def cmd_repr(args) -> int:
-    stream = read_iq_file(args.chunk)
-    mask = radar_mask(stream.annotations, len(stream))
-    chunk = make_chunk(stream.samples, mask)
-    if args.kind == "ap":
-        tensor = represent.ap_tensor(chunk)
-        matrix = np.concatenate([tensor[:, :, 0], tensor[:, :, 1]], axis=1)
-    elif args.kind in _REPR_KINDS:
-        matrix = _REPR_KINDS[args.kind](chunk)
-    else:
+    if args.kind not in _REPR_KINDS:
         raise ConfigError(f"unknown representation kind {args.kind!r}")
+    stream = read_iq_file(args.chunk)
+    chunk = make_chunk(stream.samples, radar_mask(stream.annotations, len(stream)))
+    matrix = _REPR_KINDS[args.kind](chunk)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     represent.export_matrix(matrix, out)
@@ -333,42 +292,24 @@ def cmd_repr(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radarmon",
-        description="Radar-band spectrum monitoring toolkit",
-    )
+    parser = argparse.ArgumentParser(prog="radarmon", description="Radar-band spectrum monitoring")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate one emitter stream to an IQ file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("dataset", help="build labeled chunk datasets and PSNR sets")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dataset)
-
-    p = sub.add_parser("train", help="train a model variant from a manifest")
-    p.add_argument("--config", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--loss-out", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score a model: accuracy report and/or Pd curves")
-    p.add_argument("--model", required=True)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--psnr-dir", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("repr", help="dump a representation matrix as text")
-    p.add_argument("--chunk", required=True)
-    p.add_argument("--kind", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_repr)
+    commands = (  # name, function, help, required flags, optional flags
+        ("synth", cmd_synth, "generate one emitter stream to an IQ file", "config out", ""),
+        ("dataset", cmd_dataset, "build labeled chunk datasets and PSNR sets", "config out", ""),
+        ("train", cmd_train, "train a model variant from a manifest", "config manifest out",
+         "loss-out"),
+        ("eval", cmd_eval, "score a model: accuracy report and/or Pd curves", "model out",
+         "manifest psnr-dir config"),
+        ("repr", cmd_repr, "dump a representation matrix as text", "chunk kind out", ""),
+    )
+    for name, func, help_text, required, optional in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in required.split():
+            p.add_argument(f"--{flag}", required=True)
+        for flag in optional.split():
+            p.add_argument(f"--{flag}")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -376,14 +317,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # internal fault
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception:  # a fault in the program, not in its input
+        traceback.print_exc()
         return 2
 
 

@@ -11,9 +11,13 @@ mean power over pulse samples against mean power over the rest.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,7 @@ from .iqcore import (
     stream_window,
     write_iq_file,
 )
+from .schema import check_types, require
 
 CLASS0_SUBCASES = ("radar-only", "radar+wlan", "radar+lte")
 CLASS1_SUBCASES = ("lte-only", "wlan-only", "noise")
@@ -76,15 +81,26 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("per-class counts must be positive")
-        for mixp in (self.class0_mix, self.class1_mix):
-            if len(mixp) != 3 or any(p < 0 for p in mixp) or not math.isclose(sum(mixp), 1.0):
-                raise ValueError("subcase mix must be three non-negative weights summing to 1")
-        if not self.waveforms:
-            raise ValueError("at least one waveform required")
-        if self.min_visible_samples < 1:
-            raise ValueError("min_visible_samples must be >= 1")
+        """Check types, tuple lengths and ranges, so a bad config fails before any synthesis."""
+        check_types(self)
+        for name in ("train_per_class", "test_per_class"):
+            require(getattr(self, name) >= 1, f"{name} must be positive (chunk counts per class)")
+        for name in ("sample_rate_hz", "pri_s", "radar_peak_amplitude", "min_visible_samples"):
+            require(getattr(self, name) > 0, f"{name} must be positive")
+        ranges = ("psnr_range_db", "su_power_range", "multipath_delay_range", "multipath_mag_range")
+        for name in ranges:
+            lo, hi = getattr(self, name)
+            require(lo <= hi, f"{name} must satisfy lo <= hi, got {(lo, hi)}")
+        require(self.su_power_range[0] > 0, "su_power_range must be positive (sampled log-uniformly)")
+        for name in ("class0_mix", "class1_mix"):
+            mixp = getattr(self, name)
+            require(min(mixp) >= 0 and math.isclose(sum(mixp), 1.0),
+                    f"{name}: subcase mix must be three non-negative weights summing to 1")
+        offsets = self.carrier_offsets_hz
+        require(len(offsets) > 0 and max(map(abs, offsets)) < self.sample_rate_hz / 2,
+                "carrier_offsets_hz must be a non-empty tuple of offsets below Nyquist")
+        require(len(self.waveforms) > 0 and max(w.pw_s for w in self.waveforms) < self.pri_s,
+                "waveforms must be non-empty, with every pulse width below pri_s")
 
 
 @dataclass(frozen=True)
@@ -229,12 +245,20 @@ def synth_entry_chunk(cfg: ScenarioConfig, split: str, index: int, label: int) -
     return chunk, meta
 
 
-def iter_split(cfg: ScenarioConfig, split: str):
-    """Yield (index, chunk, meta) for one split, class-balanced and deterministic."""
+def _synth_job(job: tuple[ScenarioConfig, str, int]) -> tuple[IqChunk, dict]:
+    cfg, split, index = job
+    return synth_entry_chunk(cfg, split, index, index % 2)
+
+
+def iter_split(cfg: ScenarioConfig, split: str, map_fn=map):
+    """Yield (index, chunk, meta) for one split, class-balanced and deterministic.
+
+    ``map_fn`` runs the per-chunk synthesis (the builtin ``map`` or an
+    executor's); chunks come back in index order either way.
+    """
     per_class = cfg.train_per_class if split == "train" else cfg.test_per_class
-    for index in range(2 * per_class):
-        label = index % 2
-        chunk, meta = synth_entry_chunk(cfg, split, index, label)
+    jobs = [(cfg, split, index) for index in range(2 * per_class)]
+    for index, (chunk, meta) in enumerate(map_fn(_synth_job, jobs)):
         yield index, chunk, meta
 
 
@@ -255,28 +279,37 @@ def load_chunk(root, entry: ManifestEntry) -> IqChunk:
     return make_chunk(stream.samples, mask, entry.provenance)
 
 
-def build_dataset(cfg: ScenarioConfig, out_dir) -> BuiltDataset:
-    """Synthesize all chunks, write payloads and manifests under ``out_dir``."""
+def build_dataset(cfg: ScenarioConfig, out_dir, workers: int = 1) -> BuiltDataset:
+    """Synthesize all chunks, write payloads and manifests under ``out_dir``.
+
+    With ``workers > 1`` chunks are synthesized in that many processes; each
+    chunk's RNG stream derives from (seed, split, index), and files are
+    written here in index order, so the output is byte-identical whatever
+    the worker count.
+    """
     out_dir = Path(out_dir)
     (out_dir / "chunks").mkdir(parents=True, exist_ok=True)
     manifests = {}
-    for split in ("train", "test"):
-        entries = []
-        for index, chunk, meta in iter_split(cfg, split):
-            rel = f"chunks/{split}_{index:06d}.iq"
-            write_iq_file(chunk_to_stream(chunk, cfg.sample_rate_hz), out_dir / rel)
-            entries.append(
-                ManifestEntry(
-                    path=rel,
-                    label=chunk.label,
-                    provenance=chunk.provenance,
-                    waveform=meta["waveform"],
-                    carrier_offset_hz=meta["carrier_offset_hz"],
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, spawn) if workers > 1 else contextlib.nullcontext() as pool:
+        map_fn = partial(pool.map, chunksize=16) if pool else map
+        for split in ("train", "test"):
+            entries = []
+            for index, chunk, meta in iter_split(cfg, split, map_fn):
+                rel = f"chunks/{split}_{index:06d}.iq"
+                write_iq_file(chunk_to_stream(chunk, cfg.sample_rate_hz), out_dir / rel)
+                entries.append(
+                    ManifestEntry(
+                        path=rel,
+                        label=chunk.label,
+                        provenance=chunk.provenance,
+                        waveform=meta["waveform"],
+                        carrier_offset_hz=meta["carrier_offset_hz"],
+                    )
                 )
-            )
-        manifest = DatasetManifest(split, cfg.seed, tuple(entries))
-        save_manifest(manifest, out_dir / f"manifest_{split}.json")
-        manifests[split] = manifest
+            manifest = DatasetManifest(split, cfg.seed, tuple(entries))
+            save_manifest(manifest, out_dir / f"manifest_{split}.json")
+            manifests[split] = manifest
     return BuiltDataset(train=manifests["train"], test=manifests["test"])
 
 
@@ -296,6 +329,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             for e in manifest.entries
         ],
     }
+    _write_json(doc, path)
+
+
+def _write_json(doc, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -346,40 +383,25 @@ class PsnrSet:
 
 
 def build_psnr_sets(
-    waveforms: tuple[WaveformSpec, ...],
-    targets_db,
-    chunks_per_set: int,
-    seed: int = 0,
-    *,
-    carrier_offsets_hz: tuple[float, ...] = CARRIER_OFFSETS_HZ,
-    sample_rate_hz: float = 20e6,
-    pri_s: float = 1e-3,
-    peak_amplitude: float = 1.0,
+    waveforms: tuple[WaveformSpec, ...], targets_db, chunks_per_set: int, seed: int = 0
 ) -> list[PsnrSet]:
-    """Radar+noise chunk sets with noise power solved from each target PSNR."""
-    cfg = ScenarioConfig(
-        train_per_class=1,
-        test_per_class=1,
-        waveforms=waveforms,
-        carrier_offsets_hz=carrier_offsets_hz,
-        sample_rate_hz=sample_rate_hz,
-        pri_s=pri_s,
-        radar_peak_amplitude=peak_amplitude,
-        seed=seed,
-    )
+    """Radar+noise chunk sets with noise power solved from each target PSNR.
+
+    Carrier offsets, sample rate, PRI and peak amplitude are the
+    ``ScenarioConfig`` defaults.
+    """
+    cfg = ScenarioConfig(train_per_class=1, test_per_class=1, waveforms=waveforms, seed=seed)
+    peak = cfg.radar_peak_amplitude
     sets = []
     index = 0
     for waveform in waveforms:
         for target in targets_db:
-            noise_power = (
-                0.0 if math.isinf(target) and target > 0
-                else peak_amplitude**2 / 10 ** (target / 10)
-            )
+            noise_power = 0.0 if math.isinf(target) and target > 0 else peak**2 / 10 ** (target / 10)
             chunks = []
             for _ in range(chunks_per_set):
                 rng = _entry_rng(seed, "psnr", index)
                 index += 1
-                offset = _choice(rng, carrier_offsets_hz)
+                offset = _choice(rng, cfg.carrier_offsets_hz)
                 window, _ = _radar_window(cfg, rng, waveform, offset, use_multipath=False)
                 mixed = mix([window], noise_power=noise_power, seed=rng.integers(2**63))
                 chunks.append(chunk_stream(mixed, CHUNK_LEN, provenance="radar+noise")[0])
@@ -392,3 +414,32 @@ def build_psnr_sets(
                 )
             )
     return sets
+
+
+def save_psnr_sets(sets: list[PsnrSet], root) -> None:
+    """Write each set's chunks under ``root/psnr`` and the set index to ``root/psnr_sets.json``."""
+    root = Path(root)
+    (root / "psnr").mkdir(parents=True, exist_ok=True)
+    index = []
+    for si, pset in enumerate(sets):
+        paths = [f"psnr/{pset.waveform}_{si:03d}_{ci:04d}.iq" for ci in range(len(pset.chunks))]
+        for rel, chunk in zip(paths, pset.chunks):
+            write_iq_file(chunk_to_stream(chunk), root / rel)
+        index.append({"waveform": pset.waveform, "target_psnr_db": pset.target_psnr_db,
+                      "measured_psnr_db": pset.measured_psnr_db, "paths": paths})
+    _write_json(index, root / "psnr_sets.json")
+
+
+def load_psnr_sets(root) -> list[PsnrSet]:
+    root = Path(root)
+    with open(root / "psnr_sets.json") as fh:
+        index = json.load(fh)
+    return [
+        PsnrSet(
+            waveform=item["waveform"],
+            target_psnr_db=item["target_psnr_db"],
+            measured_psnr_db=item["measured_psnr_db"],
+            chunks=tuple(load_chunk(root, ManifestEntry(p, 0, "radar+noise")) for p in item["paths"]),
+        )
+        for item in index
+    ]

@@ -28,24 +28,29 @@ class WlanParams:
 
     def __post_init__(self):
         if self.burst_len_s[0] <= 66e-6:
-            raise ValueError("WLAN bursts must be longer than 66 us")
-        if self.burst_len_s[0] > self.burst_len_s[1]:
-            raise ValueError("burst length range must be ordered")
+            raise ValueError("burst_len_s: WLAN bursts must be longer than 66 us")
+        (burst_lo, burst_hi), (idle_lo, idle_hi) = self.burst_len_s, self.idle_len_s
+        if burst_lo > burst_hi or not 0 <= idle_lo <= idle_hi:
+            raise ValueError("burst_len_s and idle_len_s must be ordered (lo, hi) ranges >= 0")
+        if not self.center_offsets_hz:
+            raise ValueError("center_offsets_hz must not be empty")
         if self.power < 0:
             raise ValueError("power must be >= 0")
+
+
+LTE_SYMBOL_S = 66.7e-6  # OFDM symbol length of the LTE numerology, not a tunable
 
 
 @dataclass(frozen=True)
 class LteParams:
     bandwidth_hz: float = 10e6
-    symbol_len_s: float = 66.7e-6
     load: float = 0.5
     reference_burst: bool = True
     power: float = 1.0
 
     def __post_init__(self):
         if not 1.4e6 <= self.bandwidth_hz <= 20e6:
-            raise ValueError("LTE bandwidth must be within [1.4e6, 20e6] Hz")
+            raise ValueError("bandwidth_hz must be within [1.4e6, 20e6] Hz for LTE")
         if not 0.0 <= self.load <= 1.0:
             raise ValueError("load must be within [0, 1]")
         if self.power < 0:
@@ -137,8 +142,8 @@ _IDLE_SYMBOL_LEVEL = 0.05  # residual amplitude of an unloaded symbol
 def synth_lte(params: LteParams, duration_s: float, fs_hz: float, seed=0) -> SampleStream:
     """Continuous LTE-like downlink: loaded symbols carry full-band pseudo-data,
     unloaded symbols carry only sparse wideband reference bursts."""
-    n_sym = int(round(params.symbol_len_s * fs_hz))
-    if duration_s < params.symbol_len_s:
+    n_sym = int(round(LTE_SYMBOL_S * fs_hz))
+    if duration_s < LTE_SYMBOL_S:
         raise ValueError("duration must cover at least one symbol")
     rng = np.random.default_rng(seed)
     n_total = int(round(duration_s * fs_hz))

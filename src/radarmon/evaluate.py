@@ -98,25 +98,6 @@ def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet], repr_fn=None,
     ]
 
 
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-    def ranks(v):
-        v = np.asarray(v, dtype=np.float64)
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.size)
-        r[order] = np.arange(1, v.size + 1)
-        for val in np.unique(v):
-            sel = v == val
-            if sel.sum() > 1:
-                r[sel] = r[sel].mean()
-        return r
-    rx, ry = ranks(xs), ranks(ys)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0 or sy == 0:
-        return 0.0
-    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
-
-
 def emit_curves(reports: list[EvalReport], curves: list[PdCurve], out_dir) -> list[Path]:
     """Write one delimited table per curve plus accuracy and comparison tables.
 

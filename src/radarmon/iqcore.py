@@ -223,10 +223,10 @@ def write_iq_file(stream: SampleStream, path) -> None:
 def read_iq_file(path) -> SampleStream:
     """Read a payload + sidecar pair written by :func:`write_iq_file`."""
     path = Path(path)
+    raw = np.fromfile(path, dtype="<f4")
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise ValueError(f"missing sidecar {sidecar}")
-    raw = np.fromfile(path, dtype="<f4")
     if raw.size % 2 != 0:
         raise ValueError(f"truncated payload {path}: odd float count {raw.size}")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)

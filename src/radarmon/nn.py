@@ -3,8 +3,9 @@
 Everything runs in float64 NCHW layout.  Convolutions are stride-1 and
 zero-padded, lowered to matrix products with im2col; max pooling is 2x2
 with deterministic first-maximum tie-breaking so training is bitwise
-reproducible.  The classifier head is a two-way softmax trained with
-cross-entropy under SGD with momentum and weight decay.
+reproducible for a fixed BLAS thread count (GEMM results can differ in the
+last bits between thread counts).  The classifier head is a two-way
+softmax trained with cross-entropy under SGD with momentum and weight decay.
 
 Four model variants share one conv stack (kernels 11, 5, 3, 3, 3 with a
 ReLU after each conv and 2x2 max pools after convs 1, 2, 3 and 5):
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .schema import check_types
 
 CONV_WIDTHS = (32, 32, 64, 64, 64)
 CONV_KERNELS = (11, 5, 3, 3, 3)
@@ -326,14 +329,19 @@ class OptimizerState:
     lr_drop_factor: float = 10.0
     batch_size: int = 50
     total_iterations: int = 25000
-    iteration: int = 0
-    velocities: dict = field(default_factory=dict)
+    iteration: int = field(default=0, init=False)
+    velocities: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
+        check_types(self)
         if min(self.base_lr, self.momentum, self.weight_decay) < 0:
-            raise ValueError("hyperparameters must be non-negative")
+            raise ValueError("base_lr, momentum and weight_decay must be non-negative")
         if self.lr_drop_every < 1 or self.batch_size < 1:
             raise ValueError("lr_drop_every and batch_size must be >= 1")
+        if self.total_iterations < 0:
+            raise ValueError("total_iterations must be >= 0")
+        if self.lr_drop_factor <= 0:
+            raise ValueError("lr_drop_factor must be positive")
 
     @property
     def learning_rate(self) -> float:
@@ -356,10 +364,6 @@ def sgd_step(model: CnnModel, grads: list[dict], opt: OptimizerState) -> None:
     opt.iteration += 1
 
 
-def make_optimizer(overrides: dict | None = None) -> OptimizerState:
-    return OptimizerState(**(overrides or {}))
-
-
 def train(
     variant: str,
     dataset: tuple[np.ndarray, np.ndarray],
@@ -369,8 +373,9 @@ def train(
 ):
     """Train a variant on (inputs, labels); returns the model and per-iteration losses.
 
-    Deterministic given the seed: parameter init and epoch shuffles derive
-    from it, and execution is single-threaded.
+    Deterministic given the seed, for a fixed BLAS thread count: parameter
+    init and epoch shuffles derive from the seed, and every other step is
+    sequential.  ``opt_overrides`` are ``OptimizerState`` keyword arguments.
     """
     x, y = dataset
     x = np.asarray(x)
@@ -379,7 +384,7 @@ def train(
         raise ValueError("dataset must be a non-empty (N, C, H, W) array")
     if y.shape != (x.shape[0],):
         raise ValueError("labels must be one per example")
-    opt = make_optimizer(opt_overrides)
+    opt = OptimizerState(**(opt_overrides or {}))
     model = build_model(variant, width_scale=width_scale, seed=seed)
     n = x.shape[0]
     batch = min(opt.batch_size, n)

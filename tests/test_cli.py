@@ -1,0 +1,153 @@
+import dataclasses
+import json
+import typing
+
+import numpy as np
+import pytest
+
+from radarmon import cli, emitters, nn, represent
+from radarmon import dataset as ds
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def to_json(value):
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    return value.name if isinstance(value, ds.WaveformSpec) else value
+
+
+def config_keys(cls, prefix=""):
+    """Every settable key under a command's config class, as dotted paths."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        hint = next((h for h in typing.get_args(hints[f.name]) if h is not type(None)), hints[f.name])
+        if dataclasses.is_dataclass(hint) and hint is not ds.WaveformSpec:
+            yield from config_keys(hint, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+SECTIONS = [
+    (cli.SynthConfig, {"emitter": "wlan"}, "wlan", emitters.WlanParams),
+    (cli.SynthConfig, {"emitter": "lte"}, "lte", emitters.LteParams),
+    (cli.DatasetConfig, {}, "scenario", ds.ScenarioConfig),
+    (cli.TrainConfig, {}, "optimizer", nn.OptimizerState),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("parent, base, section, cls", SECTIONS, ids=[s[2] for s in SECTIONS])
+    def test_section_keys_are_the_dataclass_init_fields(self, parent, base, section, cls):
+        defaults = cls()
+        doc = {f.name: to_json(getattr(defaults, f.name)) for f in dataclasses.fields(cls) if f.init}
+        built = cli.from_dict(parent, {**base, section: doc})
+        assert getattr(built, section) == defaults
+        keys = {k.split(".", 1)[1] for k in config_keys(parent) if k.startswith(section + ".")}
+        assert keys == set(doc)
+        with pytest.raises(cli.ConfigError, match=rf"unknown config key: {section}\.not_a_field"):
+            cli.from_dict(parent, {**base, section: {"not_a_field": 1}})
+
+    def test_optimizer_schema_excludes_training_state(self):
+        names = {f.name for f in dataclasses.fields(nn.OptimizerState) if f.init}
+        assert names == {"base_lr", "momentum", "weight_decay", "lr_drop_every",
+                         "lr_drop_factor", "batch_size", "total_iterations"}
+
+    def test_config_key_count(self):
+        commands = (cli.SynthConfig, cli.DatasetConfig, cli.TrainConfig, cli.EvalConfig)
+        assert sum(len(list(config_keys(c))) for c in commands) == 49
+
+    def test_lists_become_tuples_and_names_become_waveforms(self):
+        cfg = cli.from_dict(ds.ScenarioConfig, {"waveforms": ["lfm10"], "psnr_range_db": [3, 4]})
+        assert cfg.waveforms == (ds.TABLE_WAVEFORMS[2],)
+        assert cfg.psnr_range_db == (3, 4)
+        with pytest.raises(cli.ConfigError, match=r"waveforms\[0\].*'pc99'"):
+            cli.from_dict(ds.ScenarioConfig, {"waveforms": ["pc99"]})
+
+
+def test_end_to_end_pipeline(tmp_path, monkeypatch, capsys):
+    synth_cfg = write_config(tmp_path / "synth.json", {"emitter": "radar", "duration_s": 2e-3})
+    assert cli.main(["synth", "--config", synth_cfg, "--out", str(tmp_path / "radar.iq")]) == 0
+    assert (tmp_path / "radar.iq").stat().st_size == 2 * 4 * 40000
+
+    dataset_cfg = write_config(tmp_path / "dataset.json", {
+        "scenario": {"train_per_class": 4, "test_per_class": 2, "seed": 3},
+        "psnr_sweep": {"targets_db": [0, 20], "chunks_per_set": 3, "waveforms": ["pc10"], "seed": 4},
+    })
+    trees = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("RADARMON_WORKERS", workers)
+        out = tmp_path / f"data_w{workers}"
+        assert cli.main(["dataset", "--config", dataset_cfg, "--out", str(out)]) == 0
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+    assert "manifest_train.json" in trees[0] and "psnr_sets.json" in trees[0]
+    data = tmp_path / "data_w1"
+
+    train_cfg = write_config(tmp_path / "train.json", {
+        "variant": "AP", "width_scale": 0.25, "optimizer": {"total_iterations": 2},
+    })
+    model = tmp_path / "model" / "ap.cnn"
+    assert cli.main(["train", "--config", train_cfg, "--manifest", str(data / "manifest_train.json"),
+                     "--out", str(model), "--loss-out", str(tmp_path / "loss.csv")]) == 0
+    assert (tmp_path / "loss.csv").read_text().count("\n") == 3
+
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--model", str(model), "--manifest", str(data / "manifest_test.json"),
+                     "--psnr-dir", str(data), "--out", str(out)]) == 0
+    assert (out / "reports.csv").read_text().splitlines()[1].startswith("AP,")
+    assert [p.name for p in sorted(out.glob("pd_*.csv"))] == ["pd_AP_pc10.csv"]
+
+    assert cli.main(["repr", "--chunk", str(data / "chunks" / "test_000000.iq"), "--kind", "ap",
+                     "--out", str(tmp_path / "ap.txt")]) == 0
+    chunk = ds.load_chunk(data, ds.load_manifest(data / "manifest_test.json").entries[0])
+    tensor = represent.ap_tensor(chunk)
+    expected = np.concatenate([tensor[:, :, 0], tensor[:, :, 1]], axis=1)
+    np.testing.assert_allclose(np.loadtxt(tmp_path / "ap.txt"), expected, rtol=1e-8)
+    assert capsys.readouterr().err == ""
+
+
+BAD_CONFIGS = [
+    ("dataset", {"scenario": {"seed": "x"}}, "seed"),
+    ("dataset", {"scenario": {"psnr_range_db": [9]}}, "psnr_range_db"),
+    ("train", {"optimizer": {"total_iterations": "3"}}, "total_iterations"),
+    ("synth", {"emitter": "wlan", "wlan": {"burst_len_s": [1e-5, 2e-5]}}, "burst_len_s"),
+    ("synth", {"emitter": "radar", "radar": {"f_e_hz": 4e6}}, "radar.f_e_hz"),
+]
+
+
+@pytest.mark.parametrize("command, doc, key", BAD_CONFIGS, ids=[c[2] for c in BAD_CONFIGS])
+def test_bad_config_exits_1_before_any_work(tmp_path, capsys, command, doc, key):
+    config = write_config(tmp_path / "cfg.json", doc)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out" / "x")]
+    if command == "train":
+        argv += ["--manifest", str(tmp_path / "manifest_train.json")]
+    assert cli.main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError("boom"), 2),
+    (ValueError("boom"), 2),
+    (cli.ConfigError("boom"), 1),
+    (FileNotFoundError("boom"), 1),
+])
+def test_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    assert cli.main(["synth", "--config", "c.json", "--out", "o.iq"]) == code
+    err = capsys.readouterr().err
+    assert "boom" in err
+    assert ("Traceback" in err) == (code == 2)

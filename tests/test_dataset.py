@@ -89,6 +89,12 @@ class TestScenarioGeneration:
             small_config(train_per_class=0)
         with pytest.raises(ValueError, match="mix"):
             small_config(class0_mix=(0.5, 0.5, 0.5))
+        with pytest.raises(TypeError, match="seed"):
+            small_config(seed="x")
+        with pytest.raises(TypeError, match="psnr_range_db"):
+            small_config(psnr_range_db=(9.0,))
+        with pytest.raises(ValueError, match="psnr_range_db"):
+            small_config(psnr_range_db=(20.0, 10.0))
 
 
 class TestBuildDataset(object):

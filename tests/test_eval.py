@@ -10,7 +10,6 @@ from radarmon.evaluate import (
     emit_curves,
     evaluate,
     pd_curve,
-    spearman,
 )
 from radarmon.iqcore import make_chunk
 
@@ -109,21 +108,6 @@ class TestPdCurve:
         sets = self.make_sets(rng, [10.0, -5.0, 2.0])
         (curve,) = pd_curve(constant_model(True), sets)
         assert [p.psnr_db for p in curve.points] == [-5.0, 2.0, 10.0]
-
-
-class TestSpearman:
-    def test_perfect_monotone(self):
-        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
-
-    def test_reversed(self):
-        assert spearman([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_ties_handled(self):
-        rho = spearman([1, 2, 3, 4, 5, 6], [0.0, 0.1, 0.5, 1.0, 1.0, 1.0])
-        assert 0.9 < rho <= 1.0
-
-    def test_constant_series(self):
-        assert spearman([1, 2, 3], [5, 5, 5]) == 0.0
 
 
 class TestEmitCurves:

@@ -281,6 +281,14 @@ class TestOptimizer:
         opt.iteration = 10000
         assert opt.learning_rate == pytest.approx(0.0001)
 
+    def test_config_validation(self):
+        with pytest.raises(TypeError, match="total_iterations"):
+            nn.OptimizerState(total_iterations="3")
+        with pytest.raises(ValueError, match="batch_size"):
+            nn.OptimizerState(batch_size=0)
+        with pytest.raises(TypeError):
+            nn.OptimizerState(iteration=5)  # training state, not a setting
+
     def test_defaults_match_training_recipe(self):
         opt = nn.OptimizerState()
         assert (opt.base_lr, opt.momentum, opt.weight_decay) == (0.01, 0.9, 0.001)
