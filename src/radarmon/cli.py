@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import emitters, evaluate, nn, radar, represent
-from .iqcore import read_iq_file, write_iq_file, radar_mask, make_chunk
+from .iqcore import CHUNK_LEN, read_iq_file, write_iq_file, radar_mask, make_chunk
 from .schema import fits, require, type_name
 
 
@@ -282,6 +282,9 @@ def cmd_repr(args) -> int:
     if args.kind not in _REPR_KINDS:
         raise ConfigError(f"unknown representation kind {args.kind!r}")
     stream = read_iq_file(args.chunk)
+    if args.kind in ("ap", "spectrogram") and len(stream) != CHUNK_LEN:
+        raise ConfigError(f"--kind {args.kind} needs a {CHUNK_LEN}-sample chunk; "
+                          f"{args.chunk} holds {len(stream)} samples")
     chunk = make_chunk(stream.samples, radar_mask(stream.annotations, len(stream)))
     matrix = _REPR_KINDS[args.kind](chunk)
     out = Path(args.out)

@@ -192,6 +192,14 @@ def stream_window(stream: SampleStream, start: int, length: int) -> SampleStream
     )
 
 
+class MissingSidecarError(FileNotFoundError, ValueError):
+    """A payload whose ``<path>.json`` sidecar does not exist.
+
+    A missing input file, and also a ``ValueError`` like the other
+    malformed-input errors of :func:`read_iq_file`.
+    """
+
+
 def _sidecar_path(path: Path) -> Path:
     return Path(str(path) + ".json")
 
@@ -226,7 +234,7 @@ def read_iq_file(path) -> SampleStream:
     raw = np.fromfile(path, dtype="<f4")
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
-        raise ValueError(f"missing sidecar {sidecar}")
+        raise MissingSidecarError(f"missing sidecar {sidecar}")
     if raw.size % 2 != 0:
         raise ValueError(f"truncated payload {path}: odd float count {raw.size}")
     samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)

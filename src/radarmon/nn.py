@@ -1,6 +1,9 @@
 """Minimal convolutional network engine with exact-gradient backpropagation.
 
-Everything runs in float64 NCHW layout.  Convolutions are stride-1 and
+Activations are NCHW.  Each layer computes in the dtype of the batch it is
+given: float32 stays float32 (training and evaluation use it), anything else
+runs in float64.  Parameters and momentum are float64 master copies, cast
+to the batch dtype on every call.  Convolutions are stride-1 and
 zero-padded, lowered to matrix products with im2col; max pooling is 2x2
 with deterministic first-maximum tie-breaking so training is bitwise
 reproducible for a fixed BLAS thread count (GEMM results can differ in the
@@ -45,11 +48,9 @@ _VERSION = 1
 class Conv2d:
     """Stride-1 zero-padded convolution lowered to one GEMM via im2col.
 
-    Patch rows are gathered in NHWC order (contiguous innermost reads) and
-    the large intermediates are kept as per-shape scratch buffers: this VM
-    class pays heavy page-fault costs for fresh multi-hundred-MB
-    allocations, so buffers are reused across iterations.  A layer is
-    therefore not reentrant, matching the single-threaded training loop.
+    Patch rows are gathered in NHWC order (contiguous innermost reads).  A
+    training forward keeps the im2col matrix until its backward has used
+    it; an inference forward keeps nothing.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int, rng):
@@ -58,7 +59,6 @@ class Conv2d:
         self.b = np.zeros(out_ch)
         self.kernel = kernel
         self.pad = pad
-        self._scratch: dict = {}
 
     def spec(self) -> dict:
         out_ch, in_ch, k, _ = self.w.shape
@@ -67,70 +67,57 @@ class Conv2d:
     def params(self) -> dict:
         return {"w": self.w, "b": self.b}
 
-    def _buf(self, name: str, shape, mode: str = "empty") -> np.ndarray:
-        """Per-shape scratch buffer; mode is 'empty', 'zeros' or 'zeros_once'."""
-        buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._scratch[name] = (
-                np.empty(shape) if mode == "empty" else np.zeros(shape)
-            )
-        elif mode == "zeros":
-            buf.fill(0.0)
-        return buf
-
-    def _w2(self) -> np.ndarray:
+    def _w2(self, dtype) -> np.ndarray:
         # (out, in, kh, kw) -> (kh*kw*in, out) matching the im2col patch-row order
-        return np.ascontiguousarray(self.w.transpose(2, 3, 1, 0).reshape(-1, self.w.shape[0]))
+        return self.w.transpose(2, 3, 1, 0).reshape(-1, self.w.shape[0]).astype(dtype, copy=False)
 
     def _im2col(self, x: np.ndarray):
         n, c, h, w = x.shape
         k, pad = self.kernel, self.pad
         ho = h + 2 * pad - k + 1
         wo = w + 2 * pad - k + 1
-        xp = self._buf("xpad", (n, h + 2 * pad, w + 2 * pad, c), mode="zeros_once")
+        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
         xp[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
         s0, s1, s2, s3 = xp.strides
         view = np.lib.stride_tricks.as_strided(
             xp, (n, ho, wo, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False
         )
-        cols = self._buf("cols", (n * ho * wo, k * k * c))
-        np.copyto(cols.reshape(n, ho, wo, k, k, c), view)
-        return cols, ho, wo
+        return view.reshape(n * ho * wo, k * k * c), ho, wo
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         n = x.shape[0]
         out_ch = self.w.shape[0]
         cols, ho, wo = self._im2col(x)
-        out2 = self._buf("out2", (n * ho * wo, out_ch))
-        np.matmul(cols, self._w2(), out=out2)
-        out2 += self.b
+        out2 = cols @ self._w2(x.dtype)
+        out2 += self.b.astype(x.dtype, copy=False)
         if train:
+            self._cols = cols
             self._xshape = x.shape
-            self._hw = (ho, wo)
         return np.ascontiguousarray(
             out2.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
         )
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        n, out_ch = dout.shape[:2]
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Parameter gradients into ``_grads``; the input gradient unless ``need_dx`` is False."""
+        n, out_ch, ho, wo = dout.shape
         in_ch = self.w.shape[1]
-        ho, wo = self._hw
         k, pad = self.kernel, self.pad
         h, w = self._xshape[2:]
-        cols = self._scratch["cols"]
+        cols, self._cols = self._cols, None
         d2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_ch)
         dw2 = cols.T @ d2  # (kh*kw*C, out)
+        del cols
         self._grads = {
             "w": np.ascontiguousarray(
                 dw2.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
             ),
             "b": d2.sum(axis=0),
         }
+        if not need_dx:
+            return None
         # transposed patch gradients: each (i, j) tap is a contiguous plane
-        dcols_t = self._buf("dcols_t", (k * k * in_ch, n * ho * wo))
-        np.matmul(self._w2(), d2.T, out=dcols_t)
-        d6 = dcols_t.reshape(k, k, in_ch, n, ho, wo)
-        dxp = self._buf("dxpad", (in_ch, n, h + 2 * pad, w + 2 * pad), mode="zeros")
+        d6 = (self._w2(d2.dtype) @ d2.T).reshape(k, k, in_ch, n, ho, wo)
+        dxp = np.zeros((in_ch, n, h + 2 * pad, w + 2 * pad), dtype=d2.dtype)
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i : i + ho, j : j + wo] += d6[i, j]
@@ -151,7 +138,11 @@ class Relu:
         return np.maximum(x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._mask
+        mask, self._mask = self._mask, None
+        return dout * mask
+
+
+_POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major: the order ties are broken in
 
 
 class MaxPool2:
@@ -164,28 +155,23 @@ class MaxPool2:
         return {}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        xr = (
-            x.reshape(n, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h // 2, w // 2, 4)
-        )
-        idx = xr.argmax(axis=-1)
-        out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+        a, b, c, d = (x[:, :, i::2, j::2] for i, j in _POOL_WINDOW)
+        out = np.maximum(np.maximum(a, b), np.maximum(c, d))
         if train:
-            self._idx = idx
-            self._xshape = x.shape
+            self._x, self._out = x, out
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        n, c, ho, wo = dout.shape
-        dxr = np.zeros((n, c, ho, wo, 4))
-        np.put_along_axis(dxr, self._idx[..., None], dout[..., None], axis=-1)
-        return (
-            dxr.reshape(n, c, ho, wo, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(self._xshape)
-        )
+        x, out = self._x, self._out
+        self._x = self._out = None
+        dx = np.empty(x.shape, dtype=dout.dtype)  # the four window slices cover it
+        taken = np.zeros(out.shape, dtype=bool)
+        for i, j in _POOL_WINDOW:
+            hit = x[:, :, i::2, j::2] == out
+            hit &= ~taken
+            np.multiply(dout, hit, out=dx[:, :, i::2, j::2])
+            taken |= hit
+        return dx
 
 
 class Dense:
@@ -208,11 +194,11 @@ class Dense:
         if train:
             self._x2 = x2
             self._xshape = x.shape
-        return x2 @ self.w.T + self.b
+        return x2 @ self.w.T.astype(x.dtype, copy=False) + self.b.astype(x.dtype, copy=False)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         self._grads = {"w": dout.T @ self._x2, "b": dout.sum(axis=0)}
-        dx = dout @ self.w
+        dx = dout @ self.w.astype(dout.dtype, copy=False)
         self._x2 = None
         return dx.reshape(self._xshape)
 
@@ -278,7 +264,9 @@ def build_model(variant: str, width_scale: float = 1.0, seed=0) -> CnnModel:
 
 
 def _as_batch(model: CnnModel, x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if x.shape == tuple(model.input_shape):
         return x[None, ...], True
     if x.ndim == len(model.input_shape) + 1 and x.shape[1:] == tuple(model.input_shape):
@@ -296,24 +284,32 @@ def forward(model: CnnModel, x: np.ndarray, train: bool = False) -> np.ndarray:
 
 
 def backward(model: CnnModel, x: np.ndarray, label) -> tuple[list[dict], float]:
-    """Mean cross-entropy loss over the batch and its gradient per parameter tensor."""
+    """Mean cross-entropy loss over the batch and its gradient per parameter tensor.
+
+    The gradients are in the batch's dtype.  The first layer's input gradient
+    is not computed.
+    """
     batch, single = _as_batch(model, x)
     y = np.atleast_1d(np.asarray(label, dtype=np.intp))
     if y.shape != (batch.shape[0],):
         raise ValueError("labels must match the batch size")
-    probs = forward(model, batch, train=True)
-    n = batch.shape[0]
-    p_true = probs[np.arange(n), y]
-    loss = float(-np.mean(np.log(np.maximum(p_true, 1e-300))))
-    # fused softmax + cross-entropy gradient
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
     if not isinstance(model.layers[-1], Softmax):
         raise ValueError("model must end with a softmax layer")
-    d = dlogits
-    for layer in reversed(model.layers[:-1]):
-        d = layer.backward(d)
+    probs = forward(model, batch, train=True)
+    model.layers[-1]._p = None  # the fused gradient below stands in for Softmax.backward
+    n = batch.shape[0]
+    p_true = probs[np.arange(n), y]
+    loss = float(-np.mean(np.log(np.maximum(p_true, np.finfo(probs.dtype).tiny))))
+    # fused softmax + cross-entropy gradient
+    d = probs.copy()
+    d[np.arange(n), y] -= 1.0
+    d /= n
+    for i in range(len(model.layers) - 2, -1, -1):
+        layer = model.layers[i]
+        if i == 0 and isinstance(layer, Conv2d):
+            layer.backward(d, need_dx=False)  # nothing reads the input gradient
+        else:
+            d = layer.backward(d)
     grads = [getattr(layer, "_grads", {}) if layer.params() else {} for layer in model.layers]
     return grads, loss
 
@@ -373,9 +369,11 @@ def train(
 ):
     """Train a variant on (inputs, labels); returns the model and per-iteration losses.
 
-    Deterministic given the seed, for a fixed BLAS thread count: parameter
-    init and epoch shuffles derive from the seed, and every other step is
-    sequential.  ``opt_overrides`` are ``OptimizerState`` keyword arguments.
+    Each minibatch is cast to float32, so forward and backward run in
+    float32; parameters and momentum stay float64.  Deterministic given the
+    seed, for a fixed BLAS thread count: parameter init and epoch shuffles
+    derive from the seed, and every other step is sequential.
+    ``opt_overrides`` are ``OptimizerState`` keyword arguments.
     """
     x, y = dataset
     x = np.asarray(x)
@@ -398,7 +396,7 @@ def train(
             pos = 0
         idx = order[pos : pos + batch]
         pos += batch
-        grads, loss = backward(model, x[idx].astype(np.float64), y[idx])
+        grads, loss = backward(model, x[idx].astype(np.float32), y[idx])
         sgd_step(model, grads, opt)
         losses.append(loss)
     return model, np.asarray(losses)

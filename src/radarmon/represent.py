@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .iqcore import CHUNK_LEN
+
 STFT_WINDOW = 64
 STFT_HOP = 16
 STFT_FRAMES = 64
@@ -56,10 +58,10 @@ def phase_diff(chunk) -> np.ndarray:
 def spectrogram(chunk) -> np.ndarray:
     """64x64 normalized log-power STFT image (frequency x time)."""
     x = _samples(chunk)
+    if x.size != CHUNK_LEN:
+        raise ValueError(f"spectrogram requires a {CHUNK_LEN}-sample chunk, got {x.size} samples")
     window = np.hanning(STFT_WINDOW)
     n_frames = (x.size - STFT_WINDOW) // STFT_HOP + 1
-    if n_frames < 1:
-        raise ValueError("chunk shorter than one STFT window")
     starts = np.arange(n_frames) * STFT_HOP
     segments = x[starts[:, None] + np.arange(STFT_WINDOW)] * window
     power = np.abs(np.fft.fft(segments, axis=1)) ** 2  # (frames, freq)
@@ -87,8 +89,8 @@ def ap_tensor(chunk) -> np.ndarray:
     :func:`ap_inverse` recovers the 1024x2 matrix exactly.
     """
     x = _samples(chunk)
-    if x.size != 1024:
-        raise ValueError("AP tensor requires a 1024-sample chunk")
+    if x.size != CHUNK_LEN:
+        raise ValueError(f"AP tensor requires a {CHUNK_LEN}-sample chunk, got {x.size} samples")
     amp = amplitude(x)
     peak = amp.max()
     ch0 = amp / peak if peak >= _MAG_EPS else np.zeros_like(amp)

@@ -151,3 +151,35 @@ def test_exit_codes(monkeypatch, capsys, exc, code):
     err = capsys.readouterr().err
     assert "boom" in err
     assert ("Traceback" in err) == (code == 2)
+
+
+def synth_radar(tmp_path):
+    """A 2 ms radar stream (40000 samples) written by the synth command."""
+    config = write_config(tmp_path / "synth.json", {"emitter": "radar", "duration_s": 2e-3})
+    out = tmp_path / "r.iq"
+    assert cli.main(["synth", "--config", config, "--out", str(out)]) == 0
+    return out
+
+
+def test_repr_without_sidecar_exits_1(tmp_path, capsys):
+    chunk = synth_radar(tmp_path)
+    (tmp_path / "r.iq.json").unlink()
+    capsys.readouterr()
+    out = tmp_path / "repr" / "a.txt"
+    assert cli.main(["repr", "--chunk", str(chunk), "--kind", "amplitude", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "missing sidecar" in err and "r.iq.json" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("kind", ["ap", "spectrogram"])
+def test_repr_of_a_stream_that_is_not_one_chunk_exits_1(tmp_path, capsys, kind):
+    chunk = synth_radar(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "repr" / "m.txt"
+    assert cli.main(["repr", "--chunk", str(chunk), "--kind", kind, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--kind {kind}" in err and "1024-sample" in err and "40000 samples" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()

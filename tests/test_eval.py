@@ -12,6 +12,7 @@ from radarmon.evaluate import (
     pd_curve,
 )
 from radarmon.iqcore import make_chunk
+from radarmon.represent import model_input
 
 
 def constant_model(p_class0_high=True, variant="S"):
@@ -79,6 +80,15 @@ class TestEvaluate:
         for d0, d1 in zip(before, model.params()):
             for k in d0:
                 np.testing.assert_array_equal(d0[k], d1[k])
+
+    def test_float32_batch_matches_float64_per_chunk_forward(self):
+        # the benchmark's batched-vs-single gate on a full-width S model
+        rng = np.random.default_rng(6)
+        model = nn.build_model("S", seed=6)
+        chunks = noise_chunks(rng, 5, 0) + noise_chunks(rng, 5, 1)
+        report = evaluate(model, chunks, [0] * 5 + [1] * 5)
+        single = [nn.forward(model, model_input(c, "S"))[0] for c in chunks]
+        np.testing.assert_allclose(report.probs_class0, single, rtol=0, atol=1e-5)
 
 
 class TestPdCurve:

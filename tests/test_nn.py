@@ -248,6 +248,89 @@ class TestGradients:
                 np.testing.assert_allclose(bd[k], ad[k] / 5, rtol=1e-10, atol=1e-12)
 
 
+def held_arrays(model):
+    """Names of arrays a layer keeps besides its parameters and ``_grads``."""
+    held = []
+    for i, layer in enumerate(model.layers):
+        params = [id(p) for p in layer.params().values()]
+        for name, value in vars(layer).items():
+            values = value.values() if isinstance(value, dict) and name != "_grads" else [value]
+            if any(isinstance(v, np.ndarray) and id(v) not in params for v in values):
+                held.append(f"{i}.{name}")
+    return held
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("variant", ["S", "AP"])
+    def test_gradients_match_float64(self, variant):
+        model = nn.build_model(variant, width_scale=1 / 16, seed=FD_SEEDS[variant])
+        rng = np.random.default_rng([FD_SEEDS[variant], 7])
+        x = rng.standard_normal((4, *model.input_shape))
+        y = np.array([0, 1, 1, 0])
+        g64, loss64 = nn.backward(model, x, y)
+        g32, loss32 = nn.backward(model, x.astype(np.float32), y)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for d64, d32 in zip(g64, g32):
+            for k in d64:
+                assert d32[k].dtype == np.float32
+                np.testing.assert_allclose(d32[k], d64[k], rtol=1e-3, atol=1e-6 * np.abs(d64[k]).max())
+
+    @pytest.mark.parametrize("variant", ["S", "AP"])
+    def test_forward_matches_float64(self, variant):
+        model = nn.build_model(variant, width_scale=1 / 16, seed=3)
+        x = np.random.default_rng(8).random((6, *model.input_shape))
+        p32 = nn.forward(model, x.astype(np.float32))
+        assert p32.dtype == np.float32
+        np.testing.assert_allclose(p32, nn.forward(model, x), rtol=0, atol=1e-5)
+
+    def test_parameters_stay_float64(self):
+        x = np.random.default_rng(9).random((8, 1, 32, 32))
+        model, _ = nn.train("A", (x, np.arange(8) % 2), {"total_iterations": 2, "batch_size": 4},
+                            width_scale=0.1)
+        assert all(p.dtype == np.float64 for d in model.params() for p in d.values())
+
+    def test_underflowing_true_class_probability_gives_finite_loss(self):
+        rng = np.random.default_rng(28)
+        dense = nn.Dense(3, 2, rng)
+        dense.w[...] = 0.0
+        dense.b[...] = [0.0, -200.0]  # exp(-200) is 0 in float32
+        model = nn.CnnModel("toy", (3,), 1.0, [dense, nn.Softmax()])
+        x = rng.standard_normal((4, 3)).astype(np.float32)
+        grads, loss = nn.backward(model, x, np.ones(4, dtype=int))
+        assert loss == pytest.approx(-np.log(np.finfo(np.float32).tiny))
+        assert all(np.all(np.isfinite(g)) for g in grads[0].values())
+
+
+class TestMaxPool:
+    def test_tie_sends_gradient_to_top_left(self):
+        pool = nn.MaxPool2()
+        x = np.full((1, 1, 2, 2), 3.0)
+        np.testing.assert_array_equal(pool.forward(x, train=True), [[[[3.0]]]])
+        dx = pool.backward(np.array([[[[5.0]]]]))
+        np.testing.assert_array_equal(dx, [[[[5.0, 0.0], [0.0, 0.0]]]])
+
+    def test_tie_among_later_window_elements_takes_the_first(self):
+        pool = nn.MaxPool2()
+        x = np.array([[[[0.0, 1.0], [2.0, 2.0]]]])
+        pool.forward(x, train=True)
+        np.testing.assert_array_equal(pool.backward(np.ones((1, 1, 1, 1))), [[[[0.0, 0.0], [1.0, 0.0]]]])
+
+
+class TestRetainedMemory:
+    def test_inference_keeps_no_arrays(self):
+        model = nn.build_model("S", width_scale=1 / 16, seed=0)
+        nn.forward(model, np.zeros((3, 1, 64, 64), dtype=np.float32))
+        assert held_arrays(model) == []
+
+    def test_training_keeps_only_parameters_and_gradients(self):
+        x = np.random.default_rng(10).random((8, 2, 64, 64))
+        model, _ = nn.train("AP", (x, np.arange(8) % 2), {"total_iterations": 2, "batch_size": 4},
+                            width_scale=1 / 16)
+        assert held_arrays(model) == []
+        nn.forward(model, x[:2])
+        assert held_arrays(model) == []
+
+
 class TestOptimizer:
     def make_scalar_model(self, w0):
         rng = np.random.default_rng(0)

@@ -185,6 +185,13 @@ class TestApTensor:
         assert t.min() >= 0.0 and t.max() <= 1.0
 
 
+@pytest.mark.parametrize("fn", [spectrogram, ap_tensor])
+@pytest.mark.parametrize("n", [1000, 40000])
+def test_chunk_length_checked(fn, n):
+    with pytest.raises(ValueError, match=rf"1024-sample chunk, got {n} samples"):
+        fn(np.ones(n, dtype=complex))
+
+
 class TestModelInput:
     def test_shapes(self):
         x = np.ones(1024, dtype=complex)
