@@ -47,9 +47,8 @@ class PdCurve:
 def _probs_class0(model: nn.CnnModel, chunks, repr_fn=None, batch: int = 200) -> np.ndarray:
     repr_fn = repr_fn or (lambda chunk: model_input(chunk, model.variant))
     probs = []
-    stack = [repr_fn(c) for c in chunks]
-    for lo in range(0, len(stack), batch):
-        x = np.stack(stack[lo : lo + batch], dtype=np.float32)
+    for lo in range(0, len(chunks), batch):
+        x = np.stack([repr_fn(c) for c in chunks[lo : lo + batch]], dtype=np.float32)
         probs.append(nn.forward(model, x)[:, 0])
     return np.concatenate(probs) if probs else np.zeros(0)
 

@@ -4,11 +4,14 @@ Activations are NCHW.  Each layer computes in the dtype of the batch it is
 given: float32 stays float32 (training and evaluation use it), anything else
 runs in float64.  Parameters and momentum are float64 master copies, cast
 to the batch dtype on every call.  Convolutions are stride-1 and
-zero-padded, lowered to matrix products with im2col; max pooling is 2x2
-with deterministic first-maximum tie-breaking so training is bitwise
-reproducible for a fixed BLAS thread count (GEMM results can differ in the
-last bits between thread counts).  The classifier head is a two-way
-softmax trained with cross-entropy under SGD with momentum and weight decay.
+zero-padded, lowered to matrix products with im2col one cache-sized tile of
+samples at a time, so no whole-batch patch matrix is ever built; the input
+gradient is itself such a convolution.  Tiles depend only on array shapes
+and max pooling is 2x2 with deterministic first-maximum tie-breaking, so
+training is bitwise reproducible for a fixed BLAS thread count (GEMM
+results can differ in the last bits between thread counts).  The
+classifier head is a two-way softmax trained with cross-entropy under SGD
+with momentum and weight decay.
 
 Four model variants share one conv stack (kernels 11, 5, 3, 3, 3 with a
 ReLU after each conv and 2x2 max pools after convs 1, 2, 3 and 5):
@@ -45,15 +48,77 @@ _MAGIC = b"RMONCNN1"
 _VERSION = 1
 
 
-class Conv2d:
-    """Stride-1 zero-padded convolution lowered to one GEMM via im2col.
+_TILE_BYTES = 2**21  # about one L2: the im2col matrix of one tile of samples
 
-    Patch rows are gathered in NHWC order (contiguous innermost reads).  A
-    training forward keeps the im2col matrix until its backward has used
-    it; an inference forward keeps nothing.
+
+def _pad_nhwc(x: np.ndarray, pad: int) -> np.ndarray:
+    """NCHW batch -> zero-padded NHWC copy."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _im2col_tiles(xp: np.ndarray, k: int):
+    """Yield (lo, hi, cols): the im2col matrix of samples lo..hi-1 of padded NHWC ``xp``.
+
+    A tile holds as many whole samples as fit in ``_TILE_BYTES`` (at least
+    one) and is gathered into one buffer that the next tile overwrites.  A
+    one-channel input is gathered tap-major, in runs of a whole output row:
+    cols is (samples, kh*kw, pixels).  Otherwise cols is (samples*pixels,
+    kh*kw*channels), gathered in runs of kw*channels.
+    """
+    n, hp, wp, c = xp.shape
+    ho, wo = hp - k + 1, wp - k + 1
+    s0, s1, s2, s3 = xp.strides
+    if c == 1:
+        shape, strides = (n, k, k, ho, wo), (s0, s1, s2, s1, s2)
+    else:
+        shape, strides = (n, ho, wo, k, k, c), (s0, s1, s2, s1, s2, s3)
+    view = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
+    t = max(1, min(n, _TILE_BYTES // (ho * wo * k * k * c * xp.itemsize)))
+    buf = np.empty((t, *shape[1:]), dtype=xp.dtype)
+    for lo in range(0, n, t):
+        m = min(t, n - lo)
+        np.copyto(buf[:m], view[lo : lo + m])
+        yield lo, lo + m, buf[:m].reshape(m, k * k, -1) if c == 1 else buf[:m].reshape(m * ho * wo, -1)
+
+
+def _conv(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid correlation of padded NHWC ``xp`` with (out, in, k, k) ``w``, as NCHW."""
+    out_ch, in_ch, k, _ = w.shape
+    n, hp, wp, _ = xp.shape
+    ho, wo = hp - k + 1, wp - k + 1
+    if in_ch == 1:  # tap-major tiles: the GEMM writes NCHW rows directly
+        w2 = w.reshape(out_ch, -1).astype(xp.dtype)
+        out = np.empty((n, out_ch, ho, wo), dtype=xp.dtype)
+        for lo, hi, cols in _im2col_tiles(xp, k):
+            np.matmul(w2, cols, out=out[lo:hi].reshape(hi - lo, out_ch, -1))
+        return out
+    w2 = w.transpose(2, 3, 1, 0).reshape(-1, out_ch).astype(xp.dtype)
+    out = np.empty((n, ho, wo, out_ch), dtype=xp.dtype)
+    for lo, hi, cols in _im2col_tiles(xp, k):
+        np.matmul(cols, w2, out=out[lo:hi].reshape(-1, out_ch))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+class Conv2d:
+    """Stride-1 zero-padded convolution, lowered to im2col + GEMM per tile of samples.
+
+    The batch is padded into NHWC, and its im2col matrix is gathered one
+    tile of samples at a time (``_TILE_BYTES``, about one L2) into one reused
+    buffer, so no whole-batch im2col matrix exists; for a one-channel input
+    the tiles are tap-major and the GEMM writes NCHW output directly.  A
+    training forward keeps only the padded input; backward gathers its
+    tiles again to accumulate the weight gradient in tile order.  The input
+    gradient is the same tiled convolution of the output gradient, padded
+    by ``kernel - 1 - pad``, with the kernel flipped and its input and
+    output channels swapped; so ``pad`` must lie in ``0..kernel-1``.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int, rng):
+        if not 0 <= pad < kernel:
+            raise ValueError(f"pad must lie in 0..{kernel - 1} for kernel {kernel}, got {pad}")
         std = np.sqrt(2.0 / (in_ch * kernel * kernel))
         self.w = rng.normal(0.0, std, (out_ch, in_ch, kernel, kernel))
         self.b = np.zeros(out_ch)
@@ -67,62 +132,35 @@ class Conv2d:
     def params(self) -> dict:
         return {"w": self.w, "b": self.b}
 
-    def _w2(self, dtype) -> np.ndarray:
-        # (out, in, kh, kw) -> (kh*kw*in, out) matching the im2col patch-row order
-        return self.w.transpose(2, 3, 1, 0).reshape(-1, self.w.shape[0]).astype(dtype, copy=False)
-
-    def _im2col(self, x: np.ndarray):
-        n, c, h, w = x.shape
-        k, pad = self.kernel, self.pad
-        ho = h + 2 * pad - k + 1
-        wo = w + 2 * pad - k + 1
-        xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-        xp[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
-        s0, s1, s2, s3 = xp.strides
-        view = np.lib.stride_tricks.as_strided(
-            xp, (n, ho, wo, k, k, c), (s0, s1, s2, s1, s2, s3), writeable=False
-        )
-        return view.reshape(n * ho * wo, k * k * c), ho, wo
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n = x.shape[0]
-        out_ch = self.w.shape[0]
-        cols, ho, wo = self._im2col(x)
-        out2 = cols @ self._w2(x.dtype)
-        out2 += self.b.astype(x.dtype, copy=False)
+        xp = _pad_nhwc(x, self.pad)
         if train:
-            self._cols = cols
-            self._xshape = x.shape
-        return np.ascontiguousarray(
-            out2.reshape(n, ho, wo, out_ch).transpose(0, 3, 1, 2)
-        )
+            self._xp = xp
+        out = _conv(xp, self.w)
+        out += self.b.astype(x.dtype)[:, None, None]
+        return out
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Parameter gradients into ``_grads``; the input gradient unless ``need_dx`` is False."""
-        n, out_ch, ho, wo = dout.shape
-        in_ch = self.w.shape[1]
-        k, pad = self.kernel, self.pad
-        h, w = self._xshape[2:]
-        cols, self._cols = self._cols, None
-        d2 = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_ch)
-        dw2 = cols.T @ d2  # (kh*kw*C, out)
-        del cols
-        self._grads = {
-            "w": np.ascontiguousarray(
-                dw2.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
-            ),
-            "b": d2.sum(axis=0),
-        }
+        out_ch, in_ch, k, _ = self.w.shape
+        n, _, ho, wo = dout.shape
+        xp, self._xp = self._xp, None
+        if in_ch == 1:
+            d = dout.reshape(n, out_ch, -1)
+            dw = np.zeros((out_ch, k * k), dtype=dout.dtype)
+            for lo, hi, cols in _im2col_tiles(xp, k):
+                dw += np.matmul(d[lo:hi], cols.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            d = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_ch)
+            dw = np.zeros((k * k * in_ch, out_ch), dtype=dout.dtype)
+            for lo, hi, cols in _im2col_tiles(xp, k):
+                dw += cols.T @ d[lo * ho * wo : hi * ho * wo]
+            dw = dw.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
+        del xp
+        self._grads = {"w": np.ascontiguousarray(dw).reshape(self.w.shape), "b": dout.sum(axis=(0, 2, 3))}
         if not need_dx:
             return None
-        # transposed patch gradients: each (i, j) tap is a contiguous plane
-        d6 = (self._w2(d2.dtype) @ d2.T).reshape(k, k, in_ch, n, ho, wo)
-        dxp = np.zeros((in_ch, n, h + 2 * pad, w + 2 * pad), dtype=d2.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + ho, j : j + wo] += d6[i, j]
-        dx = dxp[:, :, pad : pad + h, pad : pad + w]
-        return np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
+        return _conv(_pad_nhwc(dout, k - 1 - self.pad), self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 class Relu:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,21 @@ class TestEvaluate:
         report = evaluate(model, chunks, [0] * 5 + [1] * 5)
         single = [nn.forward(model, model_input(c, "S"))[0] for c in chunks]
         np.testing.assert_allclose(report.probs_class0, single, rtol=0, atol=1e-5)
+
+    def test_memory_does_not_grow_with_the_number_of_chunks(self):
+        # representations are built one 200-chunk batch at a time
+        model = nn.build_model("S", width_scale=1 / 16, seed=0)
+        (chunk,) = noise_chunks(np.random.default_rng(9), 1, 0)
+        peaks = []
+        for n in (400, 1600):
+            chunks, labels = [chunk] * n, [0] * n
+            tracemalloc.start()
+            try:
+                evaluate(model, chunks, labels)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4
 
 
 class TestPdCurve:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ class TestGradients:
         x = rng.standard_normal((2, 2, 8, 8))
         assert fd_layer_worst(layer, x, seed=1) < 1e-6
 
+    @pytest.mark.parametrize("in_ch,out_ch", [(2, 3), (1, 1)])
+    @pytest.mark.parametrize("k,pad", [(3, 0), (3, 2), (5, 0), (5, 4)])
+    def test_conv_finite_difference_at_extreme_pads(self, k, pad, in_ch, out_ch):
+        rng = np.random.default_rng([k, pad, in_ch])
+        layer = nn.Conv2d(in_ch, out_ch, k, pad, rng)
+        layer.b[...] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((2, in_ch, 7, 8))
+        assert fd_layer_worst(layer, x, seed=k + pad) < 1e-6
+
+    @pytest.mark.parametrize("pad", [-1, 3, 4])
+    def test_conv_rejects_pad_outside_kernel(self, pad):
+        with pytest.raises(ValueError, match="pad"):
+            nn.Conv2d(1, 1, 3, pad, np.random.default_rng(0))
+
     def test_dense_layer_finite_difference(self):
         rng = np.random.default_rng(22)
         layer = nn.Dense(12, 5, rng)
@@ -329,6 +344,77 @@ class TestRetainedMemory:
         assert held_arrays(model) == []
         nn.forward(model, x[:2])
         assert held_arrays(model) == []
+
+
+class TestTiling:
+    @staticmethod
+    def run(layer, x, dout):
+        out = layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        return [out, layer._grads["w"], layer._grads["b"], dx]
+
+    @pytest.mark.parametrize("in_ch", [1, 2])
+    def test_split_batch_matches_one_tile(self, monkeypatch, in_ch):
+        rng = np.random.default_rng(40 + in_ch)
+        layer = nn.Conv2d(in_ch, 3, 3, 1, rng)
+        layer.b[...] = rng.standard_normal(3)
+        x = rng.standard_normal((5, in_ch, 8, 8))
+        dout = rng.standard_normal((5, 3, 8, 8))
+        monkeypatch.setattr(nn, "_TILE_BYTES", 2**40)
+        whole = self.run(layer, x, dout)
+
+        tiles = []
+        gather = nn._im2col_tiles
+
+        def spy(xp, k):
+            for lo, hi, cols in gather(xp, k):
+                tiles.append((xp.shape[-1], lo, hi))
+                yield lo, hi, cols
+
+        # room for the im2col rows of exactly two samples of the input
+        monkeypatch.setattr(nn, "_TILE_BYTES", 2 * 8 * 8 * 3 * 3 * in_ch * 8)
+        monkeypatch.setattr(nn, "_im2col_tiles", spy)
+        split = self.run(layer, x, dout)
+        # the forward and the weight gradient gather in tiles of 2, 2 and 1
+        # samples; the input gradient's gather, over 3 channels, one at a time
+        assert [t[1:] for t in tiles if t[0] == in_ch] == [(0, 2), (2, 4), (4, 5)] * 2
+        assert [t[1:] for t in tiles if t[0] == 3] == [(i, i + 1) for i in range(5)]
+        for got, want in zip(split, whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_oracle_exact_match_with_one_sample_tiles(self, monkeypatch):
+        monkeypatch.setattr(nn, "_TILE_BYTES", 1)
+        TestConvOracle().test_exact_match_on_integer_tensors()
+
+
+def traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestConvMemory:
+    def test_training_forward_keeps_only_the_padded_input(self):
+        model = nn.build_model("AP", width_scale=1 / 16, seed=0)
+        x = np.random.default_rng(11).random((3, 2, 64, 64), dtype=np.float32)
+        nn.forward(model, x, train=True)
+        convs = [i for i, layer in enumerate(model.layers) if isinstance(layer, nn.Conv2d)]
+        assert [h for h in held_arrays(model) if int(h.split(".")[0]) in convs] == [f"{i}._xp" for i in convs]
+        first = model.layers[0]
+        assert first._xp.shape == (3, 64 + 2 * first.pad, 64 + 2 * first.pad, 2)
+
+    def test_full_width_inference_peak(self):
+        model = nn.build_model("S", seed=0)
+        x = np.zeros((200, 1, 64, 64), dtype=np.float32)
+        assert traced_peak_mb(nn.forward, model, x) < 300
+
+    def test_full_width_training_step_peak(self):
+        model = nn.build_model("AP", seed=0)
+        x = np.random.default_rng(12).random((50, 2, 64, 64), dtype=np.float32)
+        assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 150
 
 
 class TestOptimizer:
