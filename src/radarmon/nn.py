@@ -6,12 +6,24 @@ runs in float64.  Parameters and momentum are float64 master copies, cast
 to the batch dtype on every call.  Convolutions are stride-1 and
 zero-padded, lowered to matrix products with im2col one cache-sized tile of
 samples at a time, so no whole-batch patch matrix is ever built; the input
-gradient is itself such a convolution.  Tiles depend only on array shapes
-and max pooling is 2x2 with deterministic first-maximum tie-breaking, so
-training is bitwise reproducible for a fixed BLAS thread count (GEMM
-results can differ in the last bits between thread counts).  The
-classifier head is a two-way softmax trained with cross-entropy under SGD
-with momentum and weight decay.
+gradient is itself such a convolution.  Max pooling is 2x2 with
+deterministic first-maximum tie-breaking.  The classifier head is a two-way
+softmax trained with cross-entropy under SGD with momentum and weight decay.
+
+The per-sample passes of the conv, ReLU and pool layers run on contiguous
+ranges of samples, one range per worker thread, so the engine uses the CPUs
+that BLAS leaves idle: there are ``cpus // blas_threads`` workers, where the
+BLAS thread count is read from the variables OpenBLAS reads
+(``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``); when neither holds a
+positive count, BLAS takes every CPU itself and the engine runs in the
+calling thread alone.  Tiles depend only on array shapes, a range holds
+whole tiles, and the weight gradient sums one partial per tile in tile
+order, so every output, gradient and trained parameter is bitwise
+reproducible for a fixed BLAS thread count at any worker count (GEMM
+results can differ in the last bits between BLAS thread counts).  The
+calling thread allocates every buffer the workers write into.  The worker
+threads do not survive ``fork``, so a child process starts its own pool on
+first use.
 
 Four model variants share one conv stack (kernels 11, 5, 3, 3, 3 with a
 ReLU after each conv and 2x2 max pools after convs 1, 2, 3 and 5):
@@ -22,8 +34,12 @@ shrinks every conv width proportionally for CPU-friendly experiments.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,57 +65,158 @@ _VERSION = 1
 
 
 _TILE_BYTES = 2**21  # about one L2: the im2col matrix of one tile of samples
+# Below this a range is not worth a thread: numpy keeps the interpreter lock
+# on small arrays, so two threads would mostly wait for each other.
+_MIN_RANGE_BYTES = 2**20
+
+
+def _workers_for(environ, cpus: int) -> int:
+    """Worker threads that fill the CPUs BLAS leaves idle: ``cpus // blas_threads``, at least 1.
+
+    The BLAS thread count is the first positive integer among the variables
+    OpenBLAS reads; without one, BLAS runs a thread on every CPU.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, cpus // threads)
+    return 1
+
+
+_WORKERS = _workers_for(os.environ, len(os.sched_getaffinity(0)))
+
+
+@functools.lru_cache(maxsize=1)
+def _executor(pid: int, threads: int) -> ThreadPoolExecutor:
+    """The threads that help the calling one.
+
+    Keyed by ``os.getpid()``: a forked child has none of its parent's threads.
+    """
+    return ThreadPoolExecutor(threads, thread_name_prefix="radarmon-nn")
+
+
+def _split(n: int, sample_bytes: int, step: int = 1) -> list[tuple[int, int]]:
+    """Contiguous ranges covering 0..n-1, one per worker, with boundaries at multiples of ``step``.
+
+    Each range holds at least ``_MIN_RANGE_BYTES`` of samples of ``sample_bytes``.
+    """
+    steps = -(-n // step)
+    parts = max(1, min(_WORKERS, steps, n * sample_bytes // _MIN_RANGE_BYTES))
+    bounds = [min(n, step * (steps * i // parts)) for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _call_once(box: list, *args) -> None:
+    """Call the function in ``box`` and drop it before the caller learns it is done.
+
+    A pool thread still holds its task for a moment after the future
+    resolves; emptying ``box`` keeps the buffers ``fn`` reaches from
+    outliving the pass.
+    """
+    box.pop()(*args)
+
+
+def _run(fn, ranges) -> None:
+    """Call ``fn(i, lo, hi)`` for each range, the first in this thread, and wait for all.
+
+    ``fn`` runs only numpy and private helpers of this module: it writes
+    into slices of buffers the caller allocated, never into a new array.
+    """
+    if len(ranges) == 1:
+        fn(0, *ranges[0])
+        return
+    pool = _executor(os.getpid(), _WORKERS - 1)
+    futures = [pool.submit(_call_once, [fn], i, lo, hi) for i, (lo, hi) in enumerate(ranges) if i]
+    try:
+        fn(0, *ranges[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _pad_nhwc(x: np.ndarray, pad: int) -> np.ndarray:
     """NCHW batch -> zero-padded NHWC copy."""
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + w, :] = x.transpose(0, 2, 3, 1)
+
+    def work(_, lo, hi):
+        xp[lo:hi, pad : pad + h, pad : pad + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
+
+    _run(work, _split(n, xp[:1].nbytes))
     return xp
 
 
-def _im2col_tiles(xp: np.ndarray, k: int):
-    """Yield (lo, hi, cols): the im2col matrix of samples lo..hi-1 of padded NHWC ``xp``.
+def _tile_buffers(xp: np.ndarray, k: int) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """Worker ranges of whole tiles over padded NHWC ``xp``, and one im2col tile buffer per range.
 
     A tile holds as many whole samples as fit in ``_TILE_BYTES`` (at least
-    one) and is gathered into one buffer that the next tile overwrites.  A
-    one-channel input is gathered tap-major, in runs of a whole output row:
-    cols is (samples, kh*kw, pixels).  Otherwise cols is (samples*pixels,
-    kh*kw*channels), gathered in runs of kw*channels.
+    one).  A one-channel input is gathered tap-major, (kh, kw, ho, wo) per
+    sample; otherwise (ho, wo, kh, kw, channels).
     """
     n, hp, wp, c = xp.shape
     ho, wo = hp - k + 1, wp - k + 1
+    sample = (k, k, ho, wo) if c == 1 else (ho, wo, k, k, c)
+    sample_bytes = math.prod(sample) * xp.itemsize
+    t = max(1, min(n, _TILE_BYTES // sample_bytes))
+    ranges = _split(n, sample_bytes, t)
+    return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
+
+
+def _im2col_tiles(xp: np.ndarray, k: int, lo: int, hi: int, buf: np.ndarray):
+    """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded NHWC ``xp``.
+
+    Samples lo..hi-1 are gathered ``len(buf)`` at a time into ``buf``, which
+    the next tile overwrites.  A one-channel input's cols is (samples,
+    kh*kw, pixels), gathered in runs of a whole output row; otherwise cols
+    is (samples*pixels, kh*kw*channels), gathered in runs of kw*channels.
+    """
     s0, s1, s2, s3 = xp.strides
-    if c == 1:
-        shape, strides = (n, k, k, ho, wo), (s0, s1, s2, s1, s2)
-    else:
-        shape, strides = (n, ho, wo, k, k, c), (s0, s1, s2, s1, s2, s3)
-    view = np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
-    t = max(1, min(n, _TILE_BYTES // (ho * wo * k * k * c * xp.itemsize)))
-    buf = np.empty((t, *shape[1:]), dtype=xp.dtype)
-    for lo in range(0, n, t):
-        m = min(t, n - lo)
-        np.copyto(buf[:m], view[lo : lo + m])
-        yield lo, lo + m, buf[:m].reshape(m, k * k, -1) if c == 1 else buf[:m].reshape(m * ho * wo, -1)
+    tap_major = xp.shape[3] == 1
+    strides = (s0, s1, s2, s1, s2) if tap_major else (s0, s1, s2, s1, s2, s3)
+    view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
+    pixels = view.shape[-2] * view.shape[-1] if tap_major else view.shape[1] * view.shape[2]
+    for a in range(lo, hi, len(buf)):
+        m = min(len(buf), hi - a)
+        np.copyto(buf[:m], view[a : a + m])
+        yield a, a + m, buf[:m].reshape((m, k * k, pixels) if tap_major else (m * pixels, -1))
 
 
-def _conv(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid correlation of padded NHWC ``xp`` with (out, in, k, k) ``w``, as NCHW."""
+def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Valid correlation of padded NHWC ``xp`` with (out, in, k, k) ``w``, plus bias ``b``, as NCHW."""
     out_ch, in_ch, k, _ = w.shape
     n, hp, wp, _ = xp.shape
     ho, wo = hp - k + 1, wp - k + 1
+    out = np.empty((n, out_ch, ho, wo), dtype=xp.dtype)
+    bias = None if b is None else b.astype(xp.dtype)[:, None, None]
+    ranges, bufs = _tile_buffers(xp, k)
     if in_ch == 1:  # tap-major tiles: the GEMM writes NCHW rows directly
         w2 = w.reshape(out_ch, -1).astype(xp.dtype)
-        out = np.empty((n, out_ch, ho, wo), dtype=xp.dtype)
-        for lo, hi, cols in _im2col_tiles(xp, k):
-            np.matmul(w2, cols, out=out[lo:hi].reshape(hi - lo, out_ch, -1))
-        return out
-    w2 = w.transpose(2, 3, 1, 0).reshape(-1, out_ch).astype(xp.dtype)
-    out = np.empty((n, ho, wo, out_ch), dtype=xp.dtype)
-    for lo, hi, cols in _im2col_tiles(xp, k):
-        np.matmul(cols, w2, out=out[lo:hi].reshape(-1, out_ch))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+        def work(i, lo, hi):
+            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+                np.matmul(w2, cols, out=out[a:z].reshape(z - a, out_ch, -1))
+                if bias is not None:
+                    out[a:z] += bias
+
+    else:  # each tile's NHWC product is transposed into the output while in cache
+        w2 = w.transpose(2, 3, 1, 0).reshape(-1, out_ch).astype(xp.dtype)
+        prods = [np.empty((len(buf), ho, wo, out_ch), dtype=xp.dtype) for buf in bufs]
+
+        def work(i, lo, hi):
+            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+                prod = prods[i][: z - a]
+                np.matmul(cols, w2, out=prod.reshape(-1, out_ch))
+                if bias is None:
+                    np.copyto(out[a:z], prod.transpose(0, 3, 1, 2))
+                else:
+                    np.add(prod.transpose(0, 3, 1, 2), bias, out=out[a:z])
+
+    _run(work, ranges)
+    return out
 
 
 class Conv2d:
@@ -107,13 +224,14 @@ class Conv2d:
 
     The batch is padded into NHWC, and its im2col matrix is gathered one
     tile of samples at a time (``_TILE_BYTES``, about one L2) into one reused
-    buffer, so no whole-batch im2col matrix exists; for a one-channel input
-    the tiles are tap-major and the GEMM writes NCHW output directly.  A
-    training forward keeps only the padded input; backward gathers its
-    tiles again to accumulate the weight gradient in tile order.  The input
-    gradient is the same tiled convolution of the output gradient, padded
-    by ``kernel - 1 - pad``, with the kernel flipped and its input and
-    output channels swapped; so ``pad`` must lie in ``0..kernel-1``.
+    buffer per worker, so no whole-batch im2col matrix exists; for a
+    one-channel input the tiles are tap-major and the GEMM writes NCHW output
+    directly.  A training forward keeps only the padded input; backward
+    gathers its tiles again for one weight-gradient partial per tile, summed
+    in tile order.  The input gradient is the same tiled convolution of the
+    output gradient, padded by ``kernel - 1 - pad``, with the kernel flipped
+    and its input and output channels swapped; so ``pad`` must lie in
+    ``0..kernel-1``.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int, rng):
@@ -136,27 +254,42 @@ class Conv2d:
         xp = _pad_nhwc(x, self.pad)
         if train:
             self._xp = xp
-        out = _conv(xp, self.w)
-        out += self.b.astype(x.dtype)[:, None, None]
-        return out
+        return _conv(xp, self.w, self.b)
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Parameter gradients into ``_grads``; the input gradient unless ``need_dx`` is False."""
         out_ch, in_ch, k, _ = self.w.shape
         n, _, ho, wo = dout.shape
         xp, self._xp = self._xp, None
+        ranges, bufs = _tile_buffers(xp, k)
+        t = len(bufs[0])
         if in_ch == 1:
             d = dout.reshape(n, out_ch, -1)
-            dw = np.zeros((out_ch, k * k), dtype=dout.dtype)
-            for lo, hi, cols in _im2col_tiles(xp, k):
-                dw += np.matmul(d[lo:hi], cols.transpose(0, 2, 1)).sum(axis=0)
+            parts = np.empty((-(-n // t), out_ch, k * k), dtype=dout.dtype)
+            prods = [np.empty((t, out_ch, k * k), dtype=dout.dtype) for _ in ranges]
+
+            def work(i, lo, hi):
+                for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+                    np.matmul(d[a:z], cols.transpose(0, 2, 1), out=prods[i][: z - a])
+                    np.sum(prods[i][: z - a], axis=0, out=parts[a // t])
+
         else:
-            d = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, out_ch)
-            dw = np.zeros((k * k * in_ch, out_ch), dtype=dout.dtype)
-            for lo, hi, cols in _im2col_tiles(xp, k):
-                dw += cols.T @ d[lo * ho * wo : hi * ho * wo]
+            parts = np.empty((-(-n // t), k * k * in_ch, out_ch), dtype=dout.dtype)
+            douts = [np.empty((t, ho, wo, out_ch), dtype=dout.dtype) for _ in ranges]
+
+            def work(i, lo, hi):
+                for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+                    d = douts[i][: z - a]
+                    np.copyto(d, dout[a:z].transpose(0, 2, 3, 1))
+                    np.matmul(cols.T, d.reshape(-1, out_ch), out=parts[a // t])
+
+        _run(work, ranges)
+        del xp, bufs
+        dw = np.zeros(parts.shape[1:], dtype=dout.dtype)
+        for part in parts:  # tile order, whatever the worker count
+            dw += part
+        if in_ch != 1:
             dw = dw.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
-        del xp
         self._grads = {"w": np.ascontiguousarray(dw).reshape(self.w.shape), "b": dout.sum(axis=(0, 2, 3))}
         if not need_dx:
             return None
@@ -170,21 +303,46 @@ class Relu:
     def params(self) -> dict:
         return {}
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+        """max(x, 0), into ``out`` if given; ``out`` may be ``x`` itself."""
+        y = np.empty_like(x) if out is None else out
+        mask = np.empty(x.shape, dtype=bool) if train else None
+
+        def work(_, lo, hi):
+            if train:
+                np.greater(x[lo:hi], 0, out=mask[lo:hi])
+            np.maximum(x[lo:hi], 0.0, out=y[lo:hi])
+
+        _run(work, _split(len(x), x[:1].nbytes))
         if train:
-            self._mask = x > 0
-        return np.maximum(x, 0.0)
+            self._mask = mask
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         mask, self._mask = self._mask, None
-        return dout * mask
+        dx = np.empty_like(dout)
+
+        def work(_, lo, hi):
+            np.multiply(dout[lo:hi], mask[lo:hi], out=dx[lo:hi])
+
+        _run(work, _split(len(dout), dx[:1].nbytes))
+        return dx
 
 
 _POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major: the order ties are broken in
 
 
+def _block(x: np.ndarray) -> int:
+    """Samples of ``x`` per block of a pooling pass: about one L2, like a conv tile."""
+    return max(1, _TILE_BYTES // max(1, x[:1].nbytes))
+
+
 class MaxPool2:
-    """2x2 max pooling, stride 2; ties route the gradient to the first maximum."""
+    """2x2 max pooling, stride 2; ties route the gradient to the first maximum.
+
+    A training forward keeps one byte per output: the index in
+    ``_POOL_WINDOW`` of the window element the gradient goes to.
+    """
 
     def spec(self) -> dict:
         return {"kind": "maxpool"}
@@ -193,22 +351,51 @@ class MaxPool2:
         return {}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        a, b, c, d = (x[:, :, i::2, j::2] for i, j in _POOL_WINDOW)
-        out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+        n, ch, h, w = x.shape
+        out = np.empty((n, ch, h // 2, w // 2), dtype=x.dtype)
+        code = np.empty(out.shape, dtype=np.uint8) if train else None
+        ranges, blk = _split(n, x[:1].nbytes), _block(x)
+        # per worker and block: the bottom pair's max; in training also its first maximum and where it wins
+        dtypes = (x.dtype, np.uint8, bool) if train else (x.dtype,)
+        scratch = [[np.empty((blk, *out.shape[1:]), dtype=dt) for dt in dtypes] for _ in ranges]
+
+        def work(k, lo, hi):
+            for s in range(lo, hi, blk):
+                e = min(hi, s + blk)
+                a, b, c, d = (x[s:e, :, i::2, j::2] for i, j in _POOL_WINDOW)
+                o = out[s:e]
+                bottom, *rest = (buf[: e - s] for buf in scratch[k])
+                np.maximum(a, b, out=o)
+                np.maximum(c, d, out=bottom)
+                if train:  # the first maximum of each pair, then of the two pairs
+                    first, (second, later) = code[s:e], rest
+                    np.greater(b, a, out=first)
+                    np.greater(d, c, out=second)
+                    np.greater(bottom, o, out=later)
+                    np.add(second, 2, out=first, where=later)
+                np.maximum(o, bottom, out=o)
+
+        _run(work, ranges)
         if train:
-            self._x, self._out = x, out
+            self._code = code
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, out = self._x, self._out
-        self._x = self._out = None
-        dx = np.empty(x.shape, dtype=dout.dtype)  # the four window slices cover it
-        taken = np.zeros(out.shape, dtype=bool)
-        for i, j in _POOL_WINDOW:
-            hit = x[:, :, i::2, j::2] == out
-            hit &= ~taken
-            np.multiply(dout, hit, out=dx[:, :, i::2, j::2])
-            taken |= hit
+        code, self._code = self._code, None
+        n, ch, h, w = code.shape
+        dx = np.empty((n, ch, 2 * h, 2 * w), dtype=dout.dtype)  # the four window slices cover it
+        ranges, blk = _split(n, dx[:1].nbytes), _block(dx)
+        hits = [np.empty((blk, ch, h, w), dtype=bool) for _ in ranges]
+
+        def work(k, lo, hi):
+            for s in range(lo, hi, blk):
+                e = min(hi, s + blk)
+                hit = hits[k][: e - s]
+                for q, (i, j) in enumerate(_POOL_WINDOW):
+                    np.equal(code[s:e], q, out=hit)
+                    np.multiply(dout[s:e], hit, out=dx[s:e, :, i::2, j::2])
+
+        _run(work, ranges)
         return dx
 
 
@@ -251,14 +438,7 @@ class Softmax:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        p = e / e.sum(axis=-1, keepdims=True)
-        if train:
-            self._p = p
-        return p
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        p = self._p
-        return p * (dout - (dout * p).sum(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
 
 
 _LAYER_KINDS = {"conv": Conv2d, "relu": Relu, "maxpool": MaxPool2, "dense": Dense, "softmax": Softmax}
@@ -273,9 +453,6 @@ class CnnModel:
 
     def params(self) -> list[dict]:
         return [layer.params() for layer in self.layers]
-
-    def num_params(self) -> int:
-        return sum(p.size for d in self.params() for p in d.values())
 
 
 def build_model(variant: str, width_scale: float = 1.0, seed=0) -> CnnModel:
@@ -317,7 +494,10 @@ def forward(model: CnnModel, x: np.ndarray, train: bool = False) -> np.ndarray:
     batch, single = _as_batch(model, x)
     out = batch
     for layer in model.layers:
-        out = layer.forward(out, train=train)
+        if isinstance(layer, Relu) and out is not batch:  # an intermediate nothing reads again
+            out = layer.forward(out, train=train, out=out)
+        else:
+            out = layer.forward(out, train=train)
     return out[0] if single else out
 
 
@@ -334,7 +514,6 @@ def backward(model: CnnModel, x: np.ndarray, label) -> tuple[list[dict], float]:
     if not isinstance(model.layers[-1], Softmax):
         raise ValueError("model must end with a softmax layer")
     probs = forward(model, batch, train=True)
-    model.layers[-1]._p = None  # the fused gradient below stands in for Softmax.backward
     n = batch.shape[0]
     p_true = probs[np.arange(n), y]
     loss = float(-np.mean(np.log(np.maximum(p_true, np.finfo(probs.dtype).tiny))))

@@ -1,5 +1,8 @@
 import math
+import multiprocessing
 import tracemalloc
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -214,11 +217,6 @@ class TestGradients:
         x = rng.standard_normal((3, 2, 8, 8))
         assert fd_layer_worst(nn.MaxPool2(), x, seed=4) < 1e-6
 
-    def test_softmax_finite_difference(self):
-        rng = np.random.default_rng(25)
-        x = rng.standard_normal((4, 2))
-        assert fd_layer_worst(nn.Softmax(), x, seed=5) < 1e-6
-
     @pytest.mark.parametrize("variant", ["S", "AP"])
     def test_full_model_finite_difference(self, variant):
         seed = FD_SEEDS[variant]
@@ -366,8 +364,8 @@ class TestTiling:
         tiles = []
         gather = nn._im2col_tiles
 
-        def spy(xp, k):
-            for lo, hi, cols in gather(xp, k):
+        def spy(xp, k, *rest):
+            for lo, hi, cols in gather(xp, k, *rest):
                 tiles.append((xp.shape[-1], lo, hi))
                 yield lo, hi, cols
 
@@ -375,9 +373,10 @@ class TestTiling:
         monkeypatch.setattr(nn, "_TILE_BYTES", 2 * 8 * 8 * 3 * 3 * in_ch * 8)
         monkeypatch.setattr(nn, "_im2col_tiles", spy)
         split = self.run(layer, x, dout)
+        tiles.sort()  # workers gather their ranges concurrently
         # the forward and the weight gradient gather in tiles of 2, 2 and 1
         # samples; the input gradient's gather, over 3 channels, one at a time
-        assert [t[1:] for t in tiles if t[0] == in_ch] == [(0, 2), (2, 4), (4, 5)] * 2
+        assert [t[1:] for t in tiles if t[0] == in_ch] == sorted([(0, 2), (2, 4), (4, 5)] * 2)
         assert [t[1:] for t in tiles if t[0] == 3] == [(i, i + 1) for i in range(5)]
         for got, want in zip(split, whole):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -415,6 +414,117 @@ class TestConvMemory:
         model = nn.build_model("AP", seed=0)
         x = np.random.default_rng(12).random((50, 2, 64, 64), dtype=np.float32)
         assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 150
+
+    def test_inference_relu_overwrites_its_input(self):
+        # conv1's 100 MiB output is rectified in place, so the peak is that
+        # output plus pool1's 25 MiB, not two conv1 outputs
+        model = nn.build_model("S", seed=0)
+        x = np.zeros((200, 1, 64, 64), dtype=np.float32)
+        assert traced_peak_mb(nn.forward, model, x) < 150
+
+    def test_forward_leaves_the_callers_batch_alone(self):
+        rng = np.random.default_rng(13)
+        relu_first = nn.CnnModel("toy", (3,), 1.0, [nn.Relu(), nn.Dense(3, 2, rng), nn.Softmax()])
+        x = rng.standard_normal((4, 3))
+        kept = x.copy()
+        nn.forward(relu_first, x)
+        np.testing.assert_array_equal(x, kept)
+
+
+def _forward_into(conn, model, x):
+    conn.send(nn.forward(model, x))
+    conn.close()
+
+
+class TestWorkers:
+    """Samples split across worker threads give the results of one thread, bit for bit."""
+
+    @staticmethod
+    def outputs(variant, batch):
+        rng = np.random.default_rng([batch, 31])
+        model = nn.build_model(variant, width_scale=1 / 8, seed=batch)
+        x = rng.standard_normal((batch, *model.input_shape)).astype(np.float32)
+        y = np.arange(batch) % 2
+        probs = nn.forward(model, x)
+        grads, loss = nn.backward(model, x, y)
+        trained, losses = nn.train(variant, (x, y), {"total_iterations": 2, "batch_size": batch},
+                                   seed=batch, width_scale=1 / 8)
+        arrays = [probs, np.float64(loss), losses]
+        arrays += [g for d in grads for _, g in sorted(d.items())]
+        arrays += [p for d in trained.params() for _, p in sorted(d.items())]
+        return arrays
+
+    @pytest.mark.parametrize("variant", ["S", "AP"])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 50])
+    def test_bitwise_equal_at_any_worker_count(self, monkeypatch, variant, batch):
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)  # split every pass, however small
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            results[workers] = self.outputs(variant, batch)
+        for workers in (2, 3):
+            assert len(results[workers]) == len(results[1])
+            for got, want in zip(results[workers], results[1]):
+                assert np.array_equal(got, want)
+
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)
+        model = nn.build_model("S", width_scale=1 / 8, seed=0)
+        x = np.random.default_rng(14).random((4, 1, 64, 64), dtype=np.float32)
+        want = nn.forward(model, x)  # the parent's pool threads are running now
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_forward_into, args=(send, model, x))
+        child.start()
+        send.close()
+        try:
+            got = recv.recv() if recv.poll(30) else None
+        finally:
+            child.join(30)
+            alive = child.is_alive()
+            if alive:
+                child.kill()
+                child.join(5)
+        assert not alive, "forked child hung in nn.forward"
+        assert got is not None and np.array_equal(got, want)
+
+    def test_pool_threads_let_go_of_the_pass(self, monkeypatch):
+        # A pool thread resolves its future a moment before it drops its
+        # task.  Whatever a pass reaches must be freeable as soon as _run
+        # returns all the same, or its buffers count as memory the engine keeps.
+        kept = []
+
+        class LingeringPool:
+            def submit(self, fn, *args):
+                kept.append((fn, args))
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(nn, "_WORKERS", 3)
+        monkeypatch.setattr(nn, "_executor", lambda pid, threads: LingeringPool())
+        out = np.zeros(3)
+
+        def work(_, lo, hi):
+            out[lo:hi] = 1.0
+
+        gone = weakref.ref(work)
+        nn._run(work, [(0, 1), (1, 2), (2, 3)])
+        del work
+        assert len(kept) == 2 and gone() is None
+        assert out.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("env,cpus,workers", [
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 2, 1),
+    ])
+    def test_worker_count_fills_the_cpus_blas_leaves_idle(self, env, cpus, workers):
+        assert nn._workers_for(env, cpus) == workers
 
 
 class TestOptimizer:
