@@ -49,7 +49,7 @@ def _probs_class0(model: nn.CnnModel, chunks, repr_fn=None, batch: int = 200) ->
     probs = []
     for lo in range(0, len(chunks), batch):
         x = np.stack([repr_fn(c) for c in chunks[lo : lo + batch]], dtype=np.float32)
-        probs.append(nn.forward(model, x)[:, 0])
+        probs.append(nn.forward(model, x, fused=True)[:, 0])
     return np.concatenate(probs) if probs else np.zeros(0)
 
 

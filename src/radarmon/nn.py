@@ -7,7 +7,11 @@ to the batch dtype on every call.  Convolutions are stride-1 and
 zero-padded, lowered to matrix products with im2col one cache-sized tile of
 samples at a time, so no whole-batch patch matrix is ever built; the input
 gradient is itself such a convolution.  Max pooling is 2x2 with
-deterministic first-maximum tie-breaking.  The classifier head is a two-way
+deterministic first-maximum tie-breaking.  A fused inference forward runs
+each conv -> ReLU -> max-pool triple as one pass: every tile's product is
+pooled while it is in cache, then biased and rectified, so no
+full-resolution activation is written, and the result equals the
+layer-by-layer forward bit for bit.  The classifier head is a two-way
 softmax trained with cross-entropy under SGD with momentum and weight decay.
 
 The per-sample passes of the conv, ReLU and pool layers run on contiguous
@@ -16,14 +20,15 @@ that BLAS leaves idle: there are ``cpus // blas_threads`` workers, where the
 BLAS thread count is read from the variables OpenBLAS reads
 (``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``); when neither holds a
 positive count, BLAS takes every CPU itself and the engine runs in the
-calling thread alone.  Tiles depend only on array shapes, a range holds
-whole tiles, and the weight gradient sums one partial per tile in tile
-order, so every output, gradient and trained parameter is bitwise
-reproducible for a fixed BLAS thread count at any worker count (GEMM
-results can differ in the last bits between BLAS thread counts).  The
-calling thread allocates every buffer the workers write into.  The worker
-threads do not survive ``fork``, so a child process starts its own pool on
-first use.
+calling thread alone.  A pass takes only as many ranges as hold enough work
+to pay for a thread: bytes moved, or for a conv its GEMM FLOPs.  Tiles
+depend only on array shapes, a range holds whole tiles, and the weight
+gradient sums one partial per tile in tile order, so every output, gradient
+and trained parameter is bitwise reproducible for a fixed BLAS thread count
+at any worker count (GEMM results can differ in the last bits between BLAS
+thread counts).  The calling thread allocates every buffer the workers
+write into.  The worker threads do not survive ``fork``, so a child process
+starts its own pool on first use.
 
 Four model variants share one conv stack (kernels 11, 5, 3, 3, 3 with a
 ReLU after each conv and 2x2 max pools after convs 1, 2, 3 and 5):
@@ -68,6 +73,10 @@ _TILE_BYTES = 2**21  # about one L2: the im2col matrix of one tile of samples
 # Below this a range is not worth a thread: numpy keeps the interpreter lock
 # on small arrays, so two threads would mostly wait for each other.
 _MIN_RANGE_BYTES = 2**20
+# A conv pass's work is its GEMM, counted against the floor above at this many
+# FLOPs per byte.  Its im2col gather does not count: a second thread does not
+# speed that memory-bound copy up, and the second tile buffer costs page faults.
+_FLOPS_PER_BYTE = 64
 
 
 def _workers_for(environ, cpus: int) -> int:
@@ -98,13 +107,15 @@ def _executor(pid: int, threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(threads, thread_name_prefix="radarmon-nn")
 
 
-def _split(n: int, sample_bytes: int, step: int = 1) -> list[tuple[int, int]]:
+def _split(n: int, sample_work: int, step: int = 1) -> list[tuple[int, int]]:
     """Contiguous ranges covering 0..n-1, one per worker, with boundaries at multiples of ``step``.
 
-    Each range holds at least ``_MIN_RANGE_BYTES`` of samples of ``sample_bytes``.
+    Each range holds at least ``_MIN_RANGE_BYTES`` of work, at ``sample_work``
+    per sample: the bytes a memory-bound pass moves per sample, or a conv
+    pass's GEMM FLOPs divided by ``_FLOPS_PER_BYTE``.
     """
     steps = -(-n // step)
-    parts = max(1, min(_WORKERS, steps, n * sample_bytes // _MIN_RANGE_BYTES))
+    parts = max(1, min(_WORKERS, steps, n * sample_work // _MIN_RANGE_BYTES))
     bounds = [min(n, step * (steps * i // parts)) for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 
@@ -150,19 +161,23 @@ def _pad_nhwc(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _tile_buffers(xp: np.ndarray, k: int) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1
+                  ) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
     """Worker ranges of whole tiles over padded NHWC ``xp``, and one im2col tile buffer per range.
 
     A tile holds as many whole samples as fit in ``_TILE_BYTES`` (at least
-    one).  A one-channel input is gathered tap-major, (kh, kw, ho, wo) per
-    sample; otherwise (ho, wo, kh, kw, channels).
+    one); the ranges count the work of a GEMM with ``out_ch`` outputs.  Each
+    sample's output rows come in ``phases`` row phases: with two, its even
+    rows, then its odd ones.  A one-channel input is gathered tap-major,
+    (kh, kw, phase, row, wo) per sample; otherwise (phase, row, wo, kh, kw,
+    channels).
     """
     n, hp, wp, c = xp.shape
     ho, wo = hp - k + 1, wp - k + 1
-    sample = (k, k, ho, wo) if c == 1 else (ho, wo, k, k, c)
-    sample_bytes = math.prod(sample) * xp.itemsize
-    t = max(1, min(n, _TILE_BYTES // sample_bytes))
-    ranges = _split(n, sample_bytes, t)
+    rows = (phases, ho // phases, wo)
+    sample = (k, k, *rows) if c == 1 else (*rows, k, k, c)
+    t = max(1, min(n, _TILE_BYTES // (math.prod(sample) * xp.itemsize)))
+    ranges = _split(n, 2 * ho * wo * k * k * c * out_ch // _FLOPS_PER_BYTE, t)
     return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
 
 
@@ -170,37 +185,83 @@ def _im2col_tiles(xp: np.ndarray, k: int, lo: int, hi: int, buf: np.ndarray):
     """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded NHWC ``xp``.
 
     Samples lo..hi-1 are gathered ``len(buf)`` at a time into ``buf``, which
-    the next tile overwrites.  A one-channel input's cols is (samples,
-    kh*kw, pixels), gathered in runs of a whole output row; otherwise cols
-    is (samples*pixels, kh*kw*channels), gathered in runs of kw*channels.
+    the next tile overwrites; its shape sets the row phases.  A one-channel
+    input's cols is (samples, kh*kw, pixels), gathered in runs of a whole
+    output row; otherwise cols is (samples*pixels, kh*kw*channels),
+    gathered in runs of kw*channels.
     """
     s0, s1, s2, s3 = xp.strides
     tap_major = xp.shape[3] == 1
-    strides = (s0, s1, s2, s1, s2) if tap_major else (s0, s1, s2, s1, s2, s3)
+    rows = buf.shape[3:] if tap_major else buf.shape[1:4]
+    row_strides = (s1, rows[0] * s1, s2)  # phase p starts p rows down and steps `phases` rows
+    strides = (s0, s1, s2, *row_strides) if tap_major else (s0, *row_strides, s1, s2, s3)
     view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
-    pixels = view.shape[-2] * view.shape[-1] if tap_major else view.shape[1] * view.shape[2]
+    pixels = math.prod(rows)
     for a in range(lo, hi, len(buf)):
         m = min(len(buf), hi - a)
         np.copyto(buf[:m], view[a : a + m])
         yield a, a + m, buf[:m].reshape((m, k * k, pixels) if tap_major else (m * pixels, -1))
 
 
-def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Valid correlation of padded NHWC ``xp`` with (out, in, k, k) ``w``, plus bias ``b``, as NCHW."""
+def _pooled_shape(shape: tuple) -> tuple:
+    """The NCHW ``shape`` after 2x2 max pooling; odd sizes are rejected, not floored."""
+    n, ch, h, w = shape
+    if h % 2 or w % 2:
+        raise ValueError(f"2x2 max pooling needs an even height and width, got shape {tuple(shape)}")
+    return n, ch, h // 2, w // 2
+
+
+def _pool_relu_tile(prod: np.ndarray, half: np.ndarray, pairs: np.ndarray, bias: np.ndarray | None,
+                    out: np.ndarray) -> None:
+    """2x2 max of a tile's product, plus ``bias``, rectified, into ``out``.
+
+    ``prod`` holds each sample's two row phases on axis 2; their max goes
+    into the contiguous ``half``, of the same shape without that axis.
+    ``pairs`` views ``half`` as (column phase, *out.shape), so the column
+    max runs on half-size data, and the bias and ReLU touch only the
+    quarter-size result.
+    """
+    np.maximum(prod[:, :, 0], prod[:, :, 1], out=half)
+    np.maximum(pairs[0], pairs[1], out=out)
+    if bias is not None:
+        out += bias
+    np.maximum(out, 0, out=out)
+
+
+def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu: bool = False) -> np.ndarray:
+    """Valid correlation of padded NHWC ``xp`` with (out, in, k, k) ``w``, plus bias ``b``, as NCHW.
+
+    With ``pool_relu`` each tile's product is 2x2-max-pooled while it is in
+    cache, then biased and rectified, so the full-resolution output never
+    exists.  The GEMMs have the shapes of the plain conv's, and max commutes
+    with ReLU and, because rounding is monotone, with the bias add; so the
+    result equals conv, ReLU and pool in turn bit for bit.
+    """
     out_ch, in_ch, k, _ = w.shape
     n, hp, wp, _ = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
-    out = np.empty((n, out_ch, ho, wo), dtype=xp.dtype)
+    full = (n, out_ch, hp - k + 1, wp - k + 1)
+    ho, wo = full[2:]
+    out = np.empty(_pooled_shape(full) if pool_relu else full, dtype=xp.dtype)
     bias = None if b is None else b.astype(xp.dtype)[:, None, None]
-    ranges, bufs = _tile_buffers(xp, k)
-    if in_ch == 1:  # tap-major tiles: the GEMM writes NCHW rows directly
+    ranges, bufs = _tile_buffers(xp, k, out_ch, 2 if pool_relu else 1)
+    # per worker: the row max of one tile's product
+    halves = [np.empty((len(buf), out_ch * ho * wo // 2), dtype=xp.dtype) for buf in bufs] if pool_relu else None
+    if in_ch == 1:  # tap-major tiles: the GEMM writes NCHW rows, directly unless pooled
         w2 = w.reshape(out_ch, -1).astype(xp.dtype)
+        prods = [np.empty((len(buf), out_ch, ho * wo), dtype=xp.dtype) for buf in bufs] if pool_relu else None
 
         def work(i, lo, hi):
             for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
-                np.matmul(w2, cols, out=out[a:z].reshape(z - a, out_ch, -1))
-                if bias is not None:
-                    out[a:z] += bias
+                m, y = z - a, out[a:z]
+                if pool_relu:
+                    prod = np.matmul(w2, cols, out=prods[i][:m]).reshape(m, out_ch, 2, -1)
+                    half = halves[i][:m].reshape(m, out_ch, -1)
+                    pairs = half.reshape(m, out_ch, ho // 2, wo // 2, 2).transpose(4, 0, 1, 2, 3)
+                    _pool_relu_tile(prod, half, pairs, bias, y)
+                else:
+                    np.matmul(w2, cols, out=y.reshape(m, out_ch, -1))
+                    if bias is not None:
+                        y += bias
 
     else:  # each tile's NHWC product is transposed into the output while in cache
         w2 = w.transpose(2, 3, 1, 0).reshape(-1, out_ch).astype(xp.dtype)
@@ -208,12 +269,17 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
         def work(i, lo, hi):
             for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
-                prod = prods[i][: z - a]
+                m, y = z - a, out[a:z]
+                prod = prods[i][:m]
                 np.matmul(cols, w2, out=prod.reshape(-1, out_ch))
-                if bias is None:
-                    np.copyto(out[a:z], prod.transpose(0, 3, 1, 2))
+                if pool_relu:  # the column max writes the quarter-size result transposed
+                    half = halves[i][:m].reshape(m, 1, -1)
+                    pairs = half.reshape(m, ho // 2, wo // 2, 2, out_ch).transpose(3, 0, 4, 1, 2)
+                    _pool_relu_tile(prod.reshape(m, 1, 2, -1), half, pairs, bias, y)
+                elif bias is None:
+                    np.copyto(y, prod.transpose(0, 3, 1, 2))
                 else:
-                    np.add(prod.transpose(0, 3, 1, 2), bias, out=out[a:z])
+                    np.add(prod.transpose(0, 3, 1, 2), bias, out=y)
 
     _run(work, ranges)
     return out
@@ -226,12 +292,16 @@ class Conv2d:
     tile of samples at a time (``_TILE_BYTES``, about one L2) into one reused
     buffer per worker, so no whole-batch im2col matrix exists; for a
     one-channel input the tiles are tap-major and the GEMM writes NCHW output
-    directly.  A training forward keeps only the padded input; backward
-    gathers its tiles again for one weight-gradient partial per tile, summed
-    in tile order.  The input gradient is the same tiled convolution of the
-    output gradient, padded by ``kernel - 1 - pad``, with the kernel flipped
-    and its input and output channels swapped; so ``pad`` must lie in
-    ``0..kernel-1``.
+    directly.  An inference forward with ``pool_relu`` also does the work of
+    the ReLU and 2x2 max pool that follow: the tiles' output rows are
+    gathered even rows first, each product is pooled in cache, and only the
+    quarter-size result is biased, rectified and written, bitwise equal to
+    the three layers in turn.  A training forward keeps only the padded
+    input; backward gathers its tiles again for one weight-gradient partial
+    per tile, summed in tile order.  The input gradient is the same tiled
+    convolution of the output gradient, padded by ``kernel - 1 - pad``, with
+    the kernel flipped and its input and output channels swapped; so ``pad``
+    must lie in ``0..kernel-1``.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int, rng):
@@ -250,18 +320,21 @@ class Conv2d:
     def params(self) -> dict:
         return {"w": self.w, "b": self.b}
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, pool_relu: bool = False) -> np.ndarray:
+        """The convolution; with ``pool_relu`` (inference only), 2x2-max-pooled and rectified too."""
+        if train and pool_relu:
+            raise ValueError("pool_relu is inference-only: backward needs each layer's own state")
         xp = _pad_nhwc(x, self.pad)
         if train:
             self._xp = xp
-        return _conv(xp, self.w, self.b)
+        return _conv(xp, self.w, self.b, pool_relu)
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Parameter gradients into ``_grads``; the input gradient unless ``need_dx`` is False."""
         out_ch, in_ch, k, _ = self.w.shape
         n, _, ho, wo = dout.shape
         xp, self._xp = self._xp, None
-        ranges, bufs = _tile_buffers(xp, k)
+        ranges, bufs = _tile_buffers(xp, k, out_ch)
         t = len(bufs[0])
         if in_ch == 1:
             d = dout.reshape(n, out_ch, -1)
@@ -351,10 +424,9 @@ class MaxPool2:
         return {}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n, ch, h, w = x.shape
-        out = np.empty((n, ch, h // 2, w // 2), dtype=x.dtype)
+        out = np.empty(_pooled_shape(x.shape), dtype=x.dtype)
         code = np.empty(out.shape, dtype=np.uint8) if train else None
-        ranges, blk = _split(n, x[:1].nbytes), _block(x)
+        ranges, blk = _split(len(x), x[:1].nbytes), _block(x)
         # per worker and block: the bottom pair's max; in training also its first maximum and where it wins
         dtypes = (x.dtype, np.uint8, bool) if train else (x.dtype,)
         scratch = [[np.empty((blk, *out.shape[1:]), dtype=dt) for dt in dtypes] for _ in ranges]
@@ -489,15 +561,29 @@ def _as_batch(model: CnnModel, x: np.ndarray):
     raise ValueError(f"input shape {x.shape} does not match model {model.input_shape}")
 
 
-def forward(model: CnnModel, x: np.ndarray, train: bool = False) -> np.ndarray:
-    """Class probabilities; index 0 is P(radar present)."""
+def forward(model: CnnModel, x: np.ndarray, train: bool = False, fused: bool = False) -> np.ndarray:
+    """Class probabilities; index 0 is P(radar present).
+
+    Every layer's ``forward`` runs in turn, unless ``fused`` (inference
+    only): then each Conv2d -> Relu -> MaxPool2 triple runs as one conv pass
+    that never writes the full-resolution activation, and the triple's Relu
+    and MaxPool2 are not called.  The probabilities are the same bit for bit.
+    """
+    if train and fused:
+        raise ValueError("fused is inference-only: backward needs each layer's own state")
     batch, single = _as_batch(model, x)
     out = batch
-    for layer in model.layers:
-        if isinstance(layer, Relu) and out is not batch:  # an intermediate nothing reads again
+    layers, i = model.layers, 0
+    while i < len(layers):
+        layer = layers[i]
+        triple = fused and [type(later) for later in layers[i : i + 3]] == [Conv2d, Relu, MaxPool2]
+        if triple:
+            out = layer.forward(out, pool_relu=True)
+        elif isinstance(layer, Relu) and out is not batch:  # an intermediate nothing reads again
             out = layer.forward(out, train=train, out=out)
         else:
             out = layer.forward(out, train=train)
+        i += 3 if triple else 1
     return out[0] if single else out
 
 

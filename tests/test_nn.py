@@ -1,5 +1,7 @@
+import functools
 import math
 import multiprocessing
+import re
 import tracemalloc
 import weakref
 from concurrent.futures import Future
@@ -328,6 +330,16 @@ class TestMaxPool:
         pool.forward(x, train=True)
         np.testing.assert_array_equal(pool.backward(np.ones((1, 1, 1, 1))), [[[[0.0, 0.0], [1.0, 0.0]]]])
 
+    @pytest.mark.parametrize("h,w", [(5, 4), (4, 5)])
+    @pytest.mark.parametrize("fused", [True, False])  # the fused conv pass, then the pool layer
+    def test_odd_size_is_rejected_not_floored(self, h, w, fused):
+        rng = np.random.default_rng(29)
+        dense = nn.Dense(3 * (h // 2) * (w // 2), 2, rng)
+        layers = [nn.Conv2d(1, 3, 3, 1, rng), nn.Relu(), nn.MaxPool2(), dense, nn.Softmax()]
+        model = nn.CnnModel("toy", (1, h, w), 1.0, layers)
+        with pytest.raises(ValueError, match=re.escape(f"got shape (2, 3, {h}, {w})")):
+            nn.forward(model, rng.standard_normal((2, 1, h, w)), fused=fused)
+
 
 class TestRetainedMemory:
     def test_inference_keeps_no_arrays(self):
@@ -421,6 +433,13 @@ class TestConvMemory:
         model = nn.build_model("S", seed=0)
         x = np.zeros((200, 1, 64, 64), dtype=np.float32)
         assert traced_peak_mb(nn.forward, model, x) < 150
+
+    def test_fused_inference_peak(self):
+        # each conv1 tile is pooled in cache, so only the 25 MiB pooled
+        # output exists, not the 100 MiB full-resolution one
+        model = nn.build_model("S", seed=0)
+        x = np.zeros((200, 1, 64, 64), dtype=np.float32)
+        assert traced_peak_mb(functools.partial(nn.forward, fused=True), model, x) < 90
 
     def test_forward_leaves_the_callers_batch_alone(self):
         rng = np.random.default_rng(13)
@@ -525,6 +544,77 @@ class TestWorkers:
     ])
     def test_worker_count_fills_the_cpus_blas_leaves_idle(self, env, cpus, workers):
         assert nn._workers_for(env, cpus) == workers
+
+    def test_split_gives_each_range_the_floor_of_work(self, monkeypatch):
+        monkeypatch.setattr(nn, "_WORKERS", 3)
+        floor = nn._MIN_RANGE_BYTES
+        assert nn._split(10, floor // 10) == [(0, 10)]
+        assert nn._split(10, floor // 4) == [(0, 5), (5, 10)]
+        assert nn._split(10, floor, step=4) == [(0, 4), (4, 8), (8, 10)]  # whole tiles of 4
+
+    @pytest.mark.parametrize("width,batch,dtype,ranges", [
+        (1 / 16, 2, np.float64, 1),
+        (1 / 8, 5, np.float32, 1),
+        (1 / 4, 50, np.float32, 2),
+    ])
+    def test_conv_ranges_count_gemm_work(self, monkeypatch, width, batch, dtype, ranges):
+        # AP conv1 gathers megabytes per sample at any width, but only its
+        # GEMM, which narrow models barely have, runs faster on two threads
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+        conv = nn.build_model("AP", width_scale=width).layers[0]
+        xp = np.zeros((batch, 64 + 2 * conv.pad, 64 + 2 * conv.pad, 2), dtype=dtype)
+        assert len(nn._tile_buffers(xp, conv.kernel, conv.w.shape[0])[0]) == ranges
+
+
+def largest_im2col_sample_bytes(model, itemsize):
+    side, most = model.input_shape[1], 0
+    for layer in model.layers:
+        if isinstance(layer, nn.Conv2d):
+            _, in_ch, k, _ = layer.w.shape
+            most = max(most, side * side * k * k * in_ch * itemsize)
+        elif isinstance(layer, nn.MaxPool2):
+            side //= 2
+    return most
+
+
+class TestFusedInference:
+    """A fused forward runs each conv -> ReLU -> pool triple as one tiled pass, bitwise equal to the three layers."""
+
+    @pytest.mark.parametrize("variant", ["S", "AP", "A", "P"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tile_samples", [None, 1, 2])  # None: tiles of _TILE_BYTES
+    def test_bitwise_equal_to_the_layer_by_layer_forward(self, monkeypatch, variant, dtype, tile_samples):
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)  # split every pass, however small
+        for batch in (1, 2, 5, 50):
+            model = nn.build_model(variant, width_scale=1 / 8, seed=batch)
+            x = np.random.default_rng([batch, 41]).standard_normal((batch, *model.input_shape)).astype(dtype)
+            if tile_samples:  # the largest conv's tiles hold this many samples, the others as many or more
+                tile_bytes = tile_samples * largest_im2col_sample_bytes(model, x.itemsize)
+                monkeypatch.setattr(nn, "_TILE_BYTES", tile_bytes)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(nn, "_WORKERS", workers)
+                fused = nn.forward(model, x, fused=True)
+                assert fused.dtype == dtype
+                assert np.array_equal(fused, nn.forward(model, x)), (batch, workers)
+
+    def test_only_a_fused_forward_skips_layers(self):
+        model = nn.build_model("A", width_scale=1 / 8)
+        called = []
+        for layer in model.layers:
+            layer.forward = functools.partial(lambda f, name, *a, **k: called.append(name) or f(*a, **k),
+                                              layer.forward, type(layer).__name__)
+        nn.forward(model, np.zeros((2, 1, 32, 32)))
+        assert called == [type(layer).__name__ for layer in model.layers]
+        called.clear()
+        nn.forward(model, np.zeros((2, 1, 32, 32)), fused=True)
+        assert called == ["Conv2d"] * 3 + ["Conv2d", "Relu", "Conv2d", "Dense", "Relu", "Dense", "Softmax"]
+
+    def test_pool_relu_is_inference_only(self):
+        conv = nn.Conv2d(1, 2, 3, 1, np.random.default_rng(30))
+        with pytest.raises(ValueError, match="inference"):
+            conv.forward(np.zeros((1, 1, 4, 4)), train=True, pool_relu=True)
+        with pytest.raises(ValueError, match="inference"):
+            nn.forward(nn.build_model("A", width_scale=1 / 8), np.zeros((1, 1, 32, 32)), train=True, fused=True)
 
 
 class TestOptimizer:
