@@ -1,47 +1,10 @@
-"""Channel impairments: carrier frequency offset, multipath dispersion, mixing with AWGN."""
+"""Channel impairments: multipath dispersion, mixing with AWGN."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .iqcore import Emitter, PulseAnnotation, SampleStream
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Sparse integer-delay FIR channel plus receiver-referred CFO, gain and noise."""
-
-    cfo_hz: float = 0.0
-    taps: tuple[tuple[int, complex], ...] = ((0, 1.0 + 0j),)
-    gain: float = 1.0
-    noise_power: float = 0.0
-
-    def __post_init__(self):
-        if not self.taps:
-            raise ValueError("channel requires at least one tap")
-        if self.taps[0][0] != 0:
-            raise ValueError("first tap must have delay 0")
-        if any(d < 0 for d, _ in self.taps):
-            raise ValueError("tap delays must be non-negative")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
-
-
-def apply_cfo(stream: SampleStream, cfo_hz: float) -> SampleStream:
-    """Rotate samples by the carrier offset; magnitudes and annotations unchanged."""
-    if abs(cfo_hz) >= stream.sample_rate_hz / 2:
-        raise ValueError("CFO must be below Nyquist")
-    if cfo_hz == 0:
-        return stream
-    n = np.arange(len(stream))
-    rotated = stream.samples * np.exp(2j * np.pi * n * cfo_hz / stream.sample_rate_hz)
-    return SampleStream(
-        samples=rotated,
-        sample_rate_hz=stream.sample_rate_hz,
-        annotations=stream.annotations,
-    )
 
 
 def _merge_per_emitter(annotations) -> tuple[PulseAnnotation, ...]:
@@ -99,30 +62,21 @@ def apply_multipath(
     )
 
 
-def mix(
-    streams: list[SampleStream],
-    gains: list[float] | None = None,
-    noise_power: float = 0.0,
-    seed=0,
-) -> SampleStream:
-    """Weighted sample-wise sum of aligned streams plus AWGN.
+def mix(streams: list[SampleStream], noise_power: float = 0.0, seed=0) -> SampleStream:
+    """Sample-wise sum of aligned streams plus AWGN.
 
     The union of all input annotations is retained (same-emitter overlaps merged).
     """
     if not streams:
         raise ValueError("mix requires at least one stream")
-    if gains is None:
-        gains = [1.0] * len(streams)
-    if len(gains) != len(streams):
-        raise ValueError("gains must match streams")
     n = len(streams[0])
     fs = streams[0].sample_rate_hz
     for s in streams[1:]:
         if len(s) != n or s.sample_rate_hz != fs:
             raise ValueError("mixed streams must share length and sample rate")
     out = np.zeros(n, dtype=np.complex128)
-    for g, s in zip(gains, streams):
-        out += g * s.samples
+    for s in streams:
+        out += s.samples
     if noise_power > 0:
         rng = np.random.default_rng(seed)
         out += np.sqrt(noise_power / 2.0) * (

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -56,7 +57,7 @@ class RadarConfig:
             pw_s=self.waveform.pw_s if self.pw_s is None else self.pw_s,
             pri_s=self.pri_s,
             carrier_offset_hz=self.carrier_offset_hz,
-            amplitude_profile=radar.Constant(self.peak_amplitude),
+            amplitude=self.peak_amplitude,
         )
 
 
@@ -82,12 +83,14 @@ class SynthConfig:
     def __post_init__(self):
         require(self.emitter in ("radar", "wlan", "lte", "noise"),
                 "emitter must be radar, wlan, lte or noise")
+        require(self.seed >= 0, "seed must be >= 0")
         shortest = {"radar": self.radar.pri_s, "wlan": self.wlan.burst_len_s[0],
                     "lte": emitters.LTE_SYMBOL_S, "noise": 0.0}[self.emitter]
         require(self.duration_s > shortest, f"duration_s must exceed {shortest:g} s for this emitter")
         if self.emitter == "radar":
             pulse = self.radar.params()  # RadarParams checks 0 < pw_s < pri_s
             require(round(pulse.pw_s * self.sample_rate_hz) >= 2, "radar.pw_s must span >= 2 samples")
+            require(pulse.amplitude > 0, "radar.peak_amplitude must be positive")
             require(abs(pulse.carrier_offset_hz) < self.sample_rate_hz / 2,
                     "radar.carrier_offset_hz must be below Nyquist")
 
@@ -103,6 +106,9 @@ class PsnrSweep:
         require(len(self.targets_db) > 0 and len(self.waveforms) > 0,
                 "targets_db and waveforms must not be empty")
         require(self.chunks_per_set >= 1, "chunks_per_set must be >= 1")
+        require(all(math.isfinite(t) or t == math.inf for t in self.targets_db),
+                "targets_db must be finite or Infinity (noise-free)")
+        require(self.seed >= 0, "seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,7 @@ class TrainConfig:
     def __post_init__(self):
         require(self.variant in nn.INPUT_SHAPES, f"variant must be one of {sorted(nn.INPUT_SHAPES)}")
         require(self.width_scale > 0, "width_scale must be positive")
+        require(self.seed >= 0, "seed must be >= 0")
 
 
 @dataclass(frozen=True)

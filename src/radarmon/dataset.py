@@ -92,6 +92,7 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             require(lo <= hi, f"{name} must satisfy lo <= hi, got {(lo, hi)}")
         require(self.su_power_range[0] > 0, "su_power_range must be positive (sampled log-uniformly)")
+        require(self.seed >= 0, "seed must be >= 0")
         for name in ("class0_mix", "class1_mix"):
             mixp = getattr(self, name)
             require(min(mixp) >= 0 and math.isclose(sum(mixp), 1.0),
@@ -163,7 +164,7 @@ def _radar_window(cfg: ScenarioConfig, rng, waveform: WaveformSpec, offset_hz: f
         pw_s=waveform.pw_s,
         pri_s=cfg.pri_s,
         carrier_offset_hz=offset_hz,
-        amplitude_profile=radar.Constant(cfg.radar_peak_amplitude),
+        amplitude=cfg.radar_peak_amplitude,
     )
     margin_s = (CHUNK_LEN + round(waveform.pw_s * fs) + 64) / fs
     stream = radar.synth_pulse_train(
@@ -237,7 +238,7 @@ def synth_entry_chunk(cfg: ScenarioConfig, split: str, index: int, label: int) -
                 SampleStream(np.zeros(CHUNK_LEN, dtype=np.complex128), cfg.sample_rate_hz)
             )
     mixed = mix(parts, noise_power=noise_power, seed=rng.integers(2**63))
-    chunk = chunk_stream(mixed, CHUNK_LEN, provenance=subcase)[0]
+    chunk = chunk_stream(mixed, provenance=subcase)[0]
     if label == 0 and int(chunk.radar_mask.sum()) < cfg.min_visible_samples:
         raise RuntimeError("class-0 chunk lost pulse visibility")  # guarded by window choice
     if chunk.label != label:
@@ -404,7 +405,7 @@ def build_psnr_sets(
                 offset = _choice(rng, cfg.carrier_offsets_hz)
                 window, _ = _radar_window(cfg, rng, waveform, offset, use_multipath=False)
                 mixed = mix([window], noise_power=noise_power, seed=rng.integers(2**63))
-                chunks.append(chunk_stream(mixed, CHUNK_LEN, provenance="radar+noise")[0])
+                chunks.append(chunk_stream(mixed, provenance="radar+noise")[0])
             sets.append(
                 PsnrSet(
                     waveform=waveform.name,

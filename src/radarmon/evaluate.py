@@ -44,21 +44,27 @@ class PdCurve:
             raise ValueError("curve points must be sorted by PSNR")
 
 
-def _probs_class0(model: nn.CnnModel, chunks, repr_fn=None, batch: int = 200) -> np.ndarray:
-    repr_fn = repr_fn or (lambda chunk: model_input(chunk, model.variant))
+_BATCH = 200  # chunks per forward; bounds memory whatever the number scored
+
+
+def _probs_class0(model: nn.CnnModel, chunks) -> np.ndarray:
+    """P(radar) per chunk, from the model's own representation in ``_BATCH``-chunk batches."""
     probs = []
-    for lo in range(0, len(chunks), batch):
-        x = np.stack([repr_fn(c) for c in chunks[lo : lo + batch]], dtype=np.float32)
+    for lo in range(0, len(chunks), _BATCH):
+        batch = chunks[lo : lo + _BATCH]
+        x = np.stack([model_input(c, model.variant) for c in batch], dtype=np.float32)
         probs.append(nn.forward(model, x, fused=True)[:, 0])
     return np.concatenate(probs) if probs else np.zeros(0)
 
 
-def evaluate(model: nn.CnnModel, chunks, labels, repr_fn=None, threshold: float = 0.5) -> EvalReport:
+def evaluate(model: nn.CnnModel, chunks, labels, threshold: float = 0.5) -> EvalReport:
     """Accuracy and confusion over labeled chunks; decisions by P(radar) >= threshold."""
     labels = np.asarray(labels, dtype=np.intp)
     if labels.size == 0:
         raise ValueError("evaluation requires a non-empty dataset")
-    p0 = _probs_class0(model, chunks, repr_fn)
+    if len(chunks) != labels.size:
+        raise ValueError(f"{len(chunks)} chunks but {labels.size} labels")
+    p0 = _probs_class0(model, chunks)
     decisions = np.where(p0 >= threshold, 0, 1)
     confusion = np.zeros((2, 2), dtype=np.int64)
     for t, d in zip(labels, decisions):
@@ -74,25 +80,24 @@ def evaluate(model: nn.CnnModel, chunks, labels, repr_fn=None, threshold: float 
 
 
 def evaluate_manifest(model: nn.CnnModel, manifest: DatasetManifest, root,
-                      repr_fn=None, threshold: float = 0.5) -> EvalReport:
+                      threshold: float = 0.5) -> EvalReport:
     chunks = [load_chunk(root, e) for e in manifest.entries]
     labels = [e.label for e in manifest.entries]
-    return evaluate(model, chunks, labels, repr_fn, threshold)
+    return evaluate(model, chunks, labels, threshold)
 
 
-def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet], repr_fn=None,
-             threshold: float = 0.5, model_tag: str | None = None) -> list[PdCurve]:
-    """Detection probability per PSNR set, one curve per waveform."""
-    tag = model_tag or model.variant
+def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet],
+             threshold: float = 0.5) -> list[PdCurve]:
+    """Detection probability per PSNR set, one curve per waveform, tagged by the model variant."""
     by_waveform: dict[str, list[PdPoint]] = {}
     for pset in psnr_sets:
-        p0 = _probs_class0(model, pset.chunks, repr_fn)
+        p0 = _probs_class0(model, pset.chunks)
         pd = float(np.mean(p0 >= threshold))
         by_waveform.setdefault(pset.waveform, []).append(
             PdPoint(pset.measured_psnr_db, pd, len(pset.chunks))
         )
     return [
-        PdCurve(tag, waveform, tuple(sorted(points, key=lambda p: p.psnr_db)))
+        PdCurve(model.variant, waveform, tuple(sorted(points, key=lambda p: p.psnr_db)))
         for waveform, points in sorted(by_waveform.items())
     ]
 

@@ -95,27 +95,20 @@ class SampleStream:
         return self.samples.size
 
 
-def radar_mask(
-    annotations: tuple[PulseAnnotation, ...], n: int, start: int = 0
-) -> np.ndarray:
-    """Boolean mask over ``[start, start + n)`` marking radar-annotated samples."""
+def radar_mask(annotations: tuple[PulseAnnotation, ...], n: int) -> np.ndarray:
+    """Boolean mask over ``[0, n)`` marking radar-annotated samples."""
     mask = np.zeros(n, dtype=bool)
     for ann in annotations:
-        if ann.emitter is not Emitter.RADAR:
-            continue
-        lo = max(ann.start_idx - start, 0)
-        hi = min(ann.end_idx - start, n)
-        if hi > lo:
-            mask[lo:hi] = True
+        if ann.emitter is Emitter.RADAR:
+            mask[ann.start_idx : min(ann.end_idx, n)] = True
     return mask
 
 
 @dataclass(frozen=True)
 class IqChunk:
-    """A fixed-length window of samples: the unit of classification.
+    """A window of samples: the unit of classification.
 
-    The classifier pipeline uses windows of ``CHUNK_LEN`` (1024) samples;
-    ``chunk_stream`` can produce other lengths for experimentation.
+    The classifier pipeline uses windows of ``CHUNK_LEN`` (1024) samples.
     """
 
     samples: np.ndarray
@@ -149,26 +142,22 @@ def make_chunk(samples: np.ndarray, mask: np.ndarray, provenance: str = "") -> I
     return IqChunk(samples=samples, label=label, provenance=provenance, radar_mask=mask)
 
 
-def chunk_stream(
-    stream: SampleStream, chunk_len: int = CHUNK_LEN, provenance: str = ""
-) -> list[IqChunk]:
-    """Partition a stream into consecutive chunks; the trailing remainder is dropped.
+def chunk_stream(stream: SampleStream, provenance: str = "") -> list[IqChunk]:
+    """Partition a stream into consecutive ``CHUNK_LEN`` chunks; the trailing remainder is dropped.
 
     Each chunk's label and radar mask are derived from the stream annotations
     restricted to the chunk's index window.
     """
-    if chunk_len < 2:
-        raise ValueError("chunk_len must be >= 2")
     n = len(stream)
-    if n < chunk_len:
-        raise ValueError(f"insufficient samples: stream has {n}, need {chunk_len}")
-    n_chunks = n // chunk_len
-    full_mask = radar_mask(stream.annotations, n_chunks * chunk_len)
+    if n < CHUNK_LEN:
+        raise ValueError(f"insufficient samples: stream has {n}, need {CHUNK_LEN}")
+    n_chunks = n // CHUNK_LEN
+    full_mask = radar_mask(stream.annotations, n_chunks * CHUNK_LEN)
     chunks = []
     for i in range(n_chunks):
-        lo = i * chunk_len
+        lo = i * CHUNK_LEN
         chunks.append(
-            make_chunk(stream.samples[lo : lo + chunk_len], full_mask[lo : lo + chunk_len], provenance)
+            make_chunk(stream.samples[lo : lo + CHUNK_LEN], full_mask[lo : lo + CHUNK_LEN], provenance)
         )
     return chunks
 

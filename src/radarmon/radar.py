@@ -1,7 +1,7 @@
 """Radar pulse train synthesis.
 
 A pulse train is a sum of unit-envelope pulses placed every PRI, scaled by
-an antenna amplitude profile and rotated by the carrier misalignment:
+the jittered pulse amplitude and rotated by the carrier misalignment:
 
     x[n] = sum_m A_m * p[n - toa_m] * exp(2j*pi*n*f_c/fs)
 
@@ -55,32 +55,6 @@ Ipm = Pc | Lfm | BarkerPm
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Fixed pulse amplitude."""
-
-    a: float = 1.0
-
-
-@dataclass(frozen=True)
-class Scan:
-    """Two-level antenna steering envelope: peak inside the beam, floor outside."""
-
-    period_s: float
-    beamwidth_s: float
-    peak: float = 1.0
-    floor: float = 0.0
-
-    def __post_init__(self):
-        if not (self.peak > self.floor >= 0):
-            raise ValueError("scan profile requires peak > floor >= 0")
-        if not (0 < self.beamwidth_s <= self.period_s):
-            raise ValueError("beamwidth must be within (0, period]")
-
-
-AntennaProfile = Constant | Scan
-
-
-@dataclass(frozen=True)
 class Jitter:
     """Per-pulse uniform perturbations: fractional amplitude, integer TOA samples."""
 
@@ -97,7 +71,7 @@ class RadarParams:
     pw_s: float
     pri_s: float
     carrier_offset_hz: float = 0.0
-    amplitude_profile: AntennaProfile = Constant(1.0)
+    amplitude: float = 1.0
     jitter: Jitter = field(default_factory=Jitter)
 
     def __post_init__(self):
@@ -125,15 +99,6 @@ def synth_pulse(ipm: Ipm, pw_s: float, fs_hz: float) -> np.ndarray:
     raise TypeError(f"unknown IPM {ipm!r}")
 
 
-def _profile_amplitude(profile: AntennaProfile, toa_s: float) -> float:
-    match profile:
-        case Constant(a=a):
-            return a
-        case Scan(period_s=p, beamwidth_s=bw, peak=peak, floor=floor):
-            return peak if (toa_s % p) < bw else floor
-    raise TypeError(f"unknown antenna profile {profile!r}")
-
-
 def synth_pulse_train(
     params: RadarParams, duration_s: float, fs_hz: float, seed=0
 ) -> SampleStream:
@@ -155,7 +120,7 @@ def synth_pulse_train(
         toa = max(toa, 0)
         if toa >= n_total:
             break
-        amp = _profile_amplitude(params.amplitude_profile, toa / fs_hz)
+        amp = params.amplitude
         if jit.amplitude_frac:
             amp *= 1.0 + rng.uniform(-jit.amplitude_frac, jit.amplitude_frac)
         n_fit = min(n_pulse, n_total - toa)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import typing
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from radarmon import cli, emitters, nn, represent
 from radarmon import dataset as ds
+from radarmon.iqcore import make_chunk, radar_mask, read_iq_file, stream_window, write_iq_file
 
 
 def write_config(path, doc):
@@ -116,16 +118,35 @@ def test_end_to_end_pipeline(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def bad_config(command, doc, key, id=None):
+    """A config the command must reject; ``key`` must appear in the error."""
+    return pytest.param(command, doc, key, id=id or key)
+
+
 BAD_CONFIGS = [
-    ("dataset", {"scenario": {"seed": "x"}}, "seed"),
-    ("dataset", {"scenario": {"psnr_range_db": [9]}}, "psnr_range_db"),
-    ("train", {"optimizer": {"total_iterations": "3"}}, "total_iterations"),
-    ("synth", {"emitter": "wlan", "wlan": {"burst_len_s": [1e-5, 2e-5]}}, "burst_len_s"),
-    ("synth", {"emitter": "radar", "radar": {"f_e_hz": 4e6}}, "radar.f_e_hz"),
+    bad_config("dataset", {"scenario": {"seed": "x"}}, "seed"),
+    bad_config("dataset", {"scenario": {"psnr_range_db": [9]}}, "psnr_range_db"),
+    bad_config("train", {"optimizer": {"total_iterations": "3"}}, "total_iterations"),
+    bad_config("synth", {"emitter": "wlan", "wlan": {"burst_len_s": [1e-5, 2e-5]}}, "burst_len_s"),
+    bad_config("synth", {"emitter": "radar", "radar": {"f_e_hz": 4e6}}, "radar.f_e_hz"),
+    # numpy rejects a negative seed only once synthesis or training starts
+    bad_config("dataset", {"scenario": {"seed": -1}}, "scenario: seed must be >= 0",
+               id="scenario.seed=-1"),
+    bad_config("dataset", {"psnr_sweep": {"seed": -1}}, "psnr_sweep: seed must be >= 0",
+               id="psnr_sweep.seed=-1"),
+    bad_config("train", {"seed": -1}, "seed must be >= 0", id="train.seed=-1"),
+    bad_config("synth", {"emitter": "noise", "seed": -1}, "seed must be >= 0", id="synth.seed=-1"),
+    # a NaN amplitude would fail only in synthesis, at the first pulse's annotation
+    bad_config("synth", {"emitter": "radar", "radar": {"peak_amplitude": math.nan}}, "radar.peak_amplitude"),
+    # -inf divides by zero in the noise power; NaN would build a noise-free set
+    bad_config("dataset", {"psnr_sweep": {"targets_db": [0, -math.inf]}}, "targets_db must be finite",
+               id="targets_db=-inf"),
+    bad_config("dataset", {"psnr_sweep": {"targets_db": [math.nan]}}, "targets_db must be finite",
+               id="targets_db=nan"),
 ]
 
 
-@pytest.mark.parametrize("command, doc, key", BAD_CONFIGS, ids=[c[2] for c in BAD_CONFIGS])
+@pytest.mark.parametrize("command, doc, key", BAD_CONFIGS)
 def test_bad_config_exits_1_before_any_work(tmp_path, capsys, command, doc, key):
     config = write_config(tmp_path / "cfg.json", doc)
     argv = [command, "--config", config, "--out", str(tmp_path / "out" / "x")]
@@ -159,6 +180,29 @@ def synth_radar(tmp_path):
     out = tmp_path / "r.iq"
     assert cli.main(["synth", "--config", config, "--out", str(out)]) == 0
     return out
+
+
+@pytest.mark.parametrize("emitter", ["radar", "wlan", "lte", "noise"])
+def test_synth_writes_every_emitter(tmp_path, emitter):
+    config = write_config(tmp_path / "synth.json", {"emitter": emitter, "duration_s": 2e-3})
+    out = tmp_path / "out" / f"{emitter}.iq"
+    assert cli.main(["synth", "--config", config, "--out", str(out)]) == 0
+    assert out.stat().st_size == 2 * 4 * 40000
+    assert len(read_iq_file(out)) == 40000
+
+
+@pytest.mark.parametrize("kind", sorted(cli._REPR_KINDS))
+def test_repr_writes_every_kind(tmp_path, kind):
+    radar = read_iq_file(synth_radar(tmp_path))
+    one_chunk = tmp_path / "chunk.iq"
+    write_iq_file(stream_window(radar, 0, 1024), one_chunk)  # holds the first pulse
+    out = tmp_path / "repr" / f"{kind}.txt"
+    assert cli.main(["repr", "--chunk", str(one_chunk), "--kind", kind, "--out", str(out)]) == 0
+    stream = read_iq_file(one_chunk)
+    chunk = make_chunk(stream.samples, radar_mask(stream.annotations, len(stream)))
+    expected = np.atleast_2d(cli._REPR_KINDS[kind](chunk))
+    assert expected.size > 0
+    np.testing.assert_allclose(np.loadtxt(out, ndmin=2), expected, rtol=1e-8)
 
 
 def test_repr_without_sidecar_exits_1(tmp_path, capsys):

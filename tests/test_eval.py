@@ -74,6 +74,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="non-empty"):
             evaluate(constant_model(), [], [])
 
+    def test_chunk_and_label_counts_must_match(self):
+        chunks = noise_chunks(np.random.default_rng(10), 4, 0)
+        with pytest.raises(ValueError, match="4 chunks but 2 labels"):
+            evaluate(constant_model(True), chunks, [0, 0])
+
     def test_inference_does_not_mutate_model(self):
         rng = np.random.default_rng(4)
         model = nn.build_model("S", width_scale=1 / 32, seed=5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,29 @@ class TestFileRoundTrip:
         path.write_bytes(path.read_bytes()[:-4])  # drop one float
         with pytest.raises(ValueError, match="truncated payload"):
             read_iq_file(path)
+
+
+class TestImmutability:
+    """Containers are immutable after construction, so threads may share them."""
+
+    def test_stream_and_chunk_are_frozen_copies(self):
+        samples = np.ones(1024, dtype=complex)
+        mask = np.zeros(1024, dtype=bool)
+        mask[10:20] = True
+        stream = SampleStream(samples, 20e6)
+        chunk = make_chunk(samples, mask, "test")
+        for arr in (stream.samples, chunk.samples, chunk.radar_mask):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stream.samples = samples
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chunk.radar_mask = mask
+        samples[:] = 5.0
+        mask[:] = False
+        np.testing.assert_array_equal(stream.samples, 1.0)
+        np.testing.assert_array_equal(chunk.samples, 1.0)
+        assert int(chunk.radar_mask.sum()) == 10 and chunk.radar_mask[10:20].all()
 
 
 class TestStreamInvariants:

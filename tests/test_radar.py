@@ -4,13 +4,11 @@ import pytest
 from radarmon.radar import (
     BARKER13,
     BarkerPm,
-    Constant,
     Jitter,
     Lfm,
     NO_JITTER,
     Pc,
     RadarParams,
-    Scan,
     synth_pulse,
     synth_pulse_train,
 )
@@ -95,14 +93,12 @@ class TestSynthPulseTrain:
             dphi = np.angle(seg[1:] * np.conj(seg[:-1]))
             np.testing.assert_allclose(dphi, 2 * np.pi * 3e6 / FS, atol=1e-9)
 
-    def test_scan_floor_zero_still_annotated(self):
-        profile = Scan(period_s=4e-3, beamwidth_s=1.2e-3, peak=1.0, floor=0.0)
-        params = no_jitter_params(Pc(), 2e-6, amplitude_profile=profile)
-        stream = synth_pulse_train(params, 8e-3, FS, seed=0)
-        amps = [a.peak_amplitude for a in stream.annotations]
-        assert amps == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
-        zero_ann = stream.annotations[2]
-        assert np.all(stream.samples[zero_ann.start_idx : zero_ann.end_idx] == 0)
+    def test_amplitude_scales_every_pulse(self):
+        params = no_jitter_params(Pc(), 2e-6, amplitude=0.25)
+        stream = synth_pulse_train(params, 3e-3, FS, seed=0)
+        assert [a.peak_amplitude for a in stream.annotations] == [0.25] * 3
+        for ann in stream.annotations:
+            np.testing.assert_array_equal(stream.samples[ann.start_idx : ann.end_idx], 0.25)
 
     def test_total_annotated_samples(self):
         for ipm, pw in ((Pc(), 2e-6), (Lfm(4e6), 10e-6), (BarkerPm(), 10e-6)):
@@ -143,7 +139,3 @@ class TestParamValidation:
     def test_barker_code_entries(self):
         with pytest.raises(ValueError):
             BarkerPm(code=(1, 0, -1))
-
-    def test_scan_profile_levels(self):
-        with pytest.raises(ValueError):
-            Scan(period_s=1e-3, beamwidth_s=1e-4, peak=0.5, floor=0.5)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from radarmon.channel import apply_cfo
-from radarmon.iqcore import SampleStream, make_chunk
+from radarmon.iqcore import make_chunk
 from radarmon.radar import BarkerPm, Pc, synth_pulse
 from radarmon.represent import (
     amplitude,
@@ -22,8 +21,7 @@ def tone(freq_hz, n=1024, fs=FS):
 
 
 def rotate(x, cfo_hz, fs=FS):
-    stream = SampleStream(x, fs)
-    return apply_cfo(stream, cfo_hz).samples
+    return x * np.exp(2j * np.pi * np.arange(len(x)) * cfo_hz / fs)
 
 
 class TestAmplitude:
