@@ -6,8 +6,15 @@ are the section's keys and defaults: synth is ``SynthConfig`` (sections
 radar, wlan = ``emitters.WlanParams``, lte = ``emitters.LteParams``, noise);
 dataset is ``DatasetConfig`` (scenario = ``dataset.ScenarioConfig``,
 psnr_sweep); train is ``TrainConfig`` (optimizer = ``nn.OptimizerState``);
-eval is ``EvalConfig``.  Waveforms are named.  Unknown keys, wrong types and
-out-of-range values are reported before any work starts.
+eval is ``EvalConfig``.  Waveforms are named.  Unknown keys, wrong types,
+non-finite floats and out-of-range values are reported before any work
+starts.
+
+On disk, dataset writes each chunk set as one split under --out: the
+scenario's ``train`` and ``test`` and the psnr_sweep's ``psnr``, each as
+``manifest_<split>.json`` plus ``chunks/<split>_NNNNNN.iq`` payloads with
+``.iq.json`` sidecars.  train and eval --manifest read one manifest;
+eval --psnr-dir D reads ``D/manifest_psnr.json``.
 
 Exit codes: 0 success; 1 a bad config or a missing input file; 2 any other
 failure, with its traceback on stderr.  RADARMON_WORKERS (default 1) sets
@@ -20,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 import traceback
@@ -97,7 +105,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class PsnrSweep:
-    targets_db: tuple[float, ...] = tuple(range(-6, 22, 3))
+    targets_db: tuple[numbers.Real, ...] = tuple(range(-6, 22, 3))  # Real: +Infinity is noise-free
     chunks_per_set: int = 200
     waveforms: tuple[ds.WaveformSpec, ...] = ds.TABLE_WAVEFORMS
     seed: int = 0
@@ -106,8 +114,11 @@ class PsnrSweep:
         require(len(self.targets_db) > 0 and len(self.waveforms) > 0,
                 "targets_db and waveforms must not be empty")
         require(self.chunks_per_set >= 1, "chunks_per_set must be >= 1")
-        require(all(math.isfinite(t) or t == math.inf for t in self.targets_db),
+        require(all(abs(t) <= sys.float_info.max or t == math.inf for t in self.targets_db),
                 "targets_db must be finite or Infinity (noise-free)")
+        for name in ("targets_db", "waveforms"):  # each (waveform, target) pair names one set
+            values = getattr(self, name)
+            require(len(set(values)) == len(values), f"{name} must not repeat a value")
         require(self.seed >= 0, "seed must be >= 0")
 
 
@@ -223,8 +234,8 @@ def cmd_dataset(args) -> int:
     if cfg.psnr_sweep:
         sweep = cfg.psnr_sweep
         sets = ds.build_psnr_sets(sweep.waveforms, sweep.targets_db, sweep.chunks_per_set, sweep.seed)
-        ds.save_psnr_sets(sets, out_dir)
-        print(f"wrote {len(sets)} PSNR sets to {out_dir / 'psnr'}")
+        ds.write_psnr_split(out_dir, sweep.seed, sets)
+        print(f"wrote {len(sets)} PSNR sets to {out_dir / 'manifest_psnr.json'}")
     return 0
 
 
@@ -269,7 +280,8 @@ def cmd_eval(args) -> int:
         reports.append(report)
         print(f"{model.variant} accuracy on {manifest.split}: {report.accuracy:.4f}")
     if args.psnr_dir:
-        sets = ds.load_psnr_sets(args.psnr_dir)
+        sets = ds.group_psnr_sets(ds.load_manifest(Path(args.psnr_dir) / "manifest_psnr.json"),
+                                  args.psnr_dir)
         curves.extend(evaluate.pd_curve(model, sets, threshold=cfg.threshold))
     written = evaluate.emit_curves(reports, curves, out_dir)
     print(f"wrote {len(written)} files to {out_dir}")

@@ -7,6 +7,12 @@ only secondary users or noise.  Every chunk derives its RNG stream from
 and class-0 chunks are guaranteed a minimum number of visible pulse
 samples.  PSNR is estimated from the synthesizer's ground-truth masks:
 mean power over pulse samples against mean power over the rest.
+
+On disk every chunk set is a split: ``train``, ``test`` or ``psnr``.
+``write_split`` stores a split as ``chunks/<split>_NNNNNN.iq`` payloads
+(each with its ``.iq.json`` sidecar) and one ``manifest_<split>.json``.
+``write_psnr_split`` gives each ``psnr`` entry its set's waveform and
+target PSNR; ``group_psnr_sets`` regroups those entries into ``PsnrSet``s.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -106,6 +112,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One chunk of a split, at ``path`` relative to the manifest's directory.
+
+    ``psnr_db`` is a ``psnr`` entry's target PSNR (its set's; ``inf`` when
+    noise-free) and ``None`` for ``train``/``test``.
+    """
+
     path: str
     label: int
     provenance: str
@@ -121,8 +133,8 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
 
     def __post_init__(self):
-        if self.split not in ("train", "test"):
-            raise ValueError("split must be 'train' or 'test'")
+        if self.split not in _SPLIT_CODE:
+            raise ValueError(f"split must be one of {sorted(_SPLIT_CODE)}")
 
 
 @dataclass(frozen=True)
@@ -263,7 +275,7 @@ def iter_split(cfg: ScenarioConfig, split: str, map_fn=map):
         yield index, chunk, meta
 
 
-def chunk_to_stream(chunk: IqChunk, sample_rate_hz: float = 20e6) -> SampleStream:
+def chunk_to_stream(chunk: IqChunk, sample_rate_hz: float) -> SampleStream:
     """Wrap one chunk as a stream, rebuilding annotations from mask runs."""
     mask = chunk.radar_mask
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
@@ -281,59 +293,43 @@ def load_chunk(root, entry: ManifestEntry) -> IqChunk:
 
 
 def build_dataset(cfg: ScenarioConfig, out_dir, workers: int = 1) -> BuiltDataset:
-    """Synthesize all chunks, write payloads and manifests under ``out_dir``.
+    """Synthesize all chunks and write the ``train`` and ``test`` splits under ``out_dir``.
 
     With ``workers > 1`` chunks are synthesized in that many processes; each
     chunk's RNG stream derives from (seed, split, index), and files are
     written here in index order, so the output is byte-identical whatever
     the worker count.
     """
-    out_dir = Path(out_dir)
-    (out_dir / "chunks").mkdir(parents=True, exist_ok=True)
     manifests = {}
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, spawn) if workers > 1 else contextlib.nullcontext() as pool:
         map_fn = partial(pool.map, chunksize=16) if pool else map
         for split in ("train", "test"):
-            entries = []
-            for index, chunk, meta in iter_split(cfg, split, map_fn):
-                rel = f"chunks/{split}_{index:06d}.iq"
-                write_iq_file(chunk_to_stream(chunk, cfg.sample_rate_hz), out_dir / rel)
-                entries.append(
-                    ManifestEntry(
-                        path=rel,
-                        label=chunk.label,
-                        provenance=chunk.provenance,
-                        waveform=meta["waveform"],
-                        carrier_offset_hz=meta["carrier_offset_hz"],
-                    )
-                )
-            manifest = DatasetManifest(split, cfg.seed, tuple(entries))
-            save_manifest(manifest, out_dir / f"manifest_{split}.json")
-            manifests[split] = manifest
+            items = ((chunk, meta) for _, chunk, meta in iter_split(cfg, split, map_fn))
+            manifests[split] = write_split(out_dir, split, cfg.seed, items, cfg.sample_rate_hz)
     return BuiltDataset(train=manifests["train"], test=manifests["test"])
 
 
+def write_split(out_dir, split: str, seed: int, items, sample_rate_hz: float) -> DatasetManifest:
+    """Write ``items``, (chunk, meta) pairs, as ``chunks/<split>_NNNNNN.iq`` and ``manifest_<split>.json``.
+
+    ``meta`` holds the entry's fields beyond path, label and provenance.
+    """
+    out_dir = Path(out_dir)
+    (out_dir / "chunks").mkdir(parents=True, exist_ok=True)
+    entries = []
+    for index, (chunk, meta) in enumerate(items):
+        rel = f"chunks/{split}_{index:06d}.iq"
+        write_iq_file(chunk_to_stream(chunk, sample_rate_hz), out_dir / rel)
+        entries.append(ManifestEntry(rel, chunk.label, chunk.provenance, **meta))
+    manifest = DatasetManifest(split, seed, tuple(entries))
+    save_manifest(manifest, out_dir / f"manifest_{split}.json")
+    return manifest
+
+
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {
-        "split": manifest.split,
-        "seed": manifest.seed,
-        "entries": [
-            {
-                "path": e.path,
-                "label": e.label,
-                "provenance": e.provenance,
-                "waveform": e.waveform,
-                "carrier_offset_hz": e.carrier_offset_hz,
-                "psnr_db": e.psnr_db,
-            }
-            for e in manifest.entries
-        ],
-    }
-    _write_json(doc, path)
-
-
-def _write_json(doc, path) -> None:
+    doc = {"split": manifest.split, "seed": manifest.seed,
+           "entries": [asdict(e) for e in manifest.entries]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -342,17 +338,7 @@ def _write_json(doc, path) -> None:
 def load_manifest(path) -> DatasetManifest:
     with open(path) as fh:
         doc = json.load(fh)
-    entries = tuple(
-        ManifestEntry(
-            path=e["path"],
-            label=e["label"],
-            provenance=e["provenance"],
-            waveform=e.get("waveform"),
-            carrier_offset_hz=e.get("carrier_offset_hz"),
-            psnr_db=e.get("psnr_db"),
-        )
-        for e in doc["entries"]
-    )
+    entries = tuple(ManifestEntry(**e) for e in doc["entries"])
     return DatasetManifest(doc["split"], doc["seed"], entries)
 
 
@@ -417,30 +403,21 @@ def build_psnr_sets(
     return sets
 
 
-def save_psnr_sets(sets: list[PsnrSet], root) -> None:
-    """Write each set's chunks under ``root/psnr`` and the set index to ``root/psnr_sets.json``."""
-    root = Path(root)
-    (root / "psnr").mkdir(parents=True, exist_ok=True)
-    index = []
-    for si, pset in enumerate(sets):
-        paths = [f"psnr/{pset.waveform}_{si:03d}_{ci:04d}.iq" for ci in range(len(pset.chunks))]
-        for rel, chunk in zip(paths, pset.chunks):
-            write_iq_file(chunk_to_stream(chunk), root / rel)
-        index.append({"waveform": pset.waveform, "target_psnr_db": pset.target_psnr_db,
-                      "measured_psnr_db": pset.measured_psnr_db, "paths": paths})
-    _write_json(index, root / "psnr_sets.json")
+def write_psnr_split(out_dir, seed: int, sets: list[PsnrSet]) -> DatasetManifest:
+    """Write ``sets`` in order as the ``psnr`` split; each entry carries its set's waveform and target."""
+    items = ((c, {"waveform": s.waveform, "psnr_db": s.target_psnr_db}) for s in sets for c in s.chunks)
+    return write_split(out_dir, "psnr", seed, items, ScenarioConfig.sample_rate_hz)
 
 
-def load_psnr_sets(root) -> list[PsnrSet]:
-    root = Path(root)
-    with open(root / "psnr_sets.json") as fh:
-        index = json.load(fh)
+def group_psnr_sets(manifest: DatasetManifest, root) -> list[PsnrSet]:
+    """Group a ``psnr`` split's entries into sets by (waveform, target), in manifest order.
+
+    Each set's measured PSNR is estimated from the chunks as read back.
+    """
+    groups: dict[tuple[str, float], list[IqChunk]] = {}
+    for entry in manifest.entries:
+        groups.setdefault((entry.waveform, entry.psnr_db), []).append(load_chunk(root, entry))
     return [
-        PsnrSet(
-            waveform=item["waveform"],
-            target_psnr_db=item["target_psnr_db"],
-            measured_psnr_db=item["measured_psnr_db"],
-            chunks=tuple(load_chunk(root, ManifestEntry(p, 0, "radar+noise")) for p in item["paths"]),
-        )
-        for item in index
+        PsnrSet(waveform, target, estimate_psnr(chunks), tuple(chunks))
+        for (waveform, target), chunks in groups.items()
     ]

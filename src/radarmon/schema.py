@@ -3,22 +3,28 @@
 A dataclass's annotations are the one statement of its fields' types:
 ``fits`` tests a value against one, ``check_types(self)`` in
 ``__post_init__`` tests every field, and ``require`` states a value check.
+A ``float`` holds a finite value; a field that takes infinities or NaN
+says so with ``numbers.Real`` and narrows it with its own check.
 """
 
 from __future__ import annotations
 
 import numbers
+import re
+import sys
 import types
 import typing
 
 
 def fits(hint, value) -> bool:
-    """Whether ``value`` has type ``hint``; tuples are checked by length and element."""
+    """Whether ``value`` has type ``hint``; a float must be finite, a tuple is checked by length and element."""
     if isinstance(hint, types.UnionType):
         return any(fits(h, value) for h in typing.get_args(hint))
-    if hint is int or hint is float:  # a bool is neither; an int is also a float
+    if hint in (int, float, numbers.Real):  # a bool is none of these; an int is also a float
         kind = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return False
+        return hint is not float or abs(value) <= sys.float_info.max  # not inf, NaN or an int beyond float
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         if not isinstance(value, tuple):
@@ -38,7 +44,8 @@ def check_types(obj) -> None:
 
 
 def type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint)
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    return re.sub(r"\bfloat\b", "finite float", name)
 
 
 def require(ok: bool, message: str) -> None:

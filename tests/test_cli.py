@@ -92,7 +92,7 @@ def test_end_to_end_pipeline(tmp_path, monkeypatch, capsys):
         assert cli.main(["dataset", "--config", dataset_cfg, "--out", str(out)]) == 0
         trees.append(tree_bytes(out))
     assert trees[0] == trees[1]
-    assert "manifest_train.json" in trees[0] and "psnr_sets.json" in trees[0]
+    assert "manifest_train.json" in trees[0] and "manifest_psnr.json" in trees[0]
     data = tmp_path / "data_w1"
 
     train_cfg = write_config(tmp_path / "train.json", {
@@ -143,6 +143,31 @@ BAD_CONFIGS = [
                id="targets_db=-inf"),
     bad_config("dataset", {"psnr_sweep": {"targets_db": [math.nan]}}, "targets_db must be finite",
                id="targets_db=nan"),
+    # an int beyond the float range overflows once converted
+    bad_config("dataset", {"psnr_sweep": {"targets_db": [10**400]}}, "targets_db must be finite",
+               id="targets_db=10**400"),
+    bad_config("dataset", {"scenario": {"pri_s": 10**400}}, "scenario.pri_s must be finite float",
+               id="pri_s=10**400"),
+    # each (waveform, target) pair names one set; a repeat would merge two sets into one curve
+    bad_config("dataset", {"psnr_sweep": {"targets_db": [6, 6]}}, "targets_db must not repeat",
+               id="targets_db=[6, 6]"),
+    bad_config("dataset", {"psnr_sweep": {"waveforms": ["pc10", "pc10"]}}, "waveforms must not repeat",
+               id="waveforms=[pc10, pc10]"),
+    # a non-finite float would fail only once synthesis starts, with an OverflowError
+    *(bad_config("dataset", {"scenario": {key: value}}, f"scenario.{key} must be {kind}", id=f"{key}=inf")
+      for key, value, kind in [("psnr_range_db", [9, math.inf], "tuple[finite float"),
+                               ("su_power_range", [0.05, math.inf], "tuple[finite float"),
+                               ("multipath_mag_range", [0, math.inf], "tuple[finite float"),
+                               ("pri_s", math.inf, "finite float"),
+                               ("sample_rate_hz", math.inf, "finite float")]),
+    *(bad_config("synth", {"emitter": emitter, **doc}, f"{key} must be {kind}", id=f"{key}={value}")
+      for emitter, doc, key, value, kind in [
+          ("noise", {"duration_s": math.inf}, "duration_s", "inf", "finite float"),
+          ("wlan", {"wlan": {"burst_len_s": [1e-4, math.inf]}}, "wlan.burst_len_s", "inf",
+           "tuple[finite float"),
+          ("noise", {"noise": {"power": math.inf}}, "noise.power", "inf", "finite float"),
+          ("wlan", {"wlan": {"power": math.inf}}, "wlan.power", "inf", "finite float"),
+          ("lte", {"lte": {"power": math.nan}}, "lte.power", "nan", "finite float")]),
 ]
 
 
@@ -155,6 +180,26 @@ def test_bad_config_exits_1_before_any_work(tmp_path, capsys, command, doc, key)
     assert cli.main(argv) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_noise_free_psnr_target_is_accepted():
+    sweep = cli.from_dict(cli.PsnrSweep, {"targets_db": [0, math.inf]})
+    assert sweep.targets_db == (0, math.inf)
+
+
+def test_eval_psnr_dir_without_a_psnr_split_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path / "dataset.json", {"scenario": {"train_per_class": 1, "test_per_class": 1}})
+    data = tmp_path / "data"
+    assert cli.main(["dataset", "--config", config, "--out", str(data)]) == 0
+    model = tmp_path / "s.cnn"
+    nn.save_model(nn.build_model("S", width_scale=1 / 32), model)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--model", str(model), "--psnr-dir", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "manifest_psnr.json" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc, code", [

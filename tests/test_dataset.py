@@ -202,3 +202,19 @@ class TestManifestRoundTrip:
         manifest = ds.DatasetManifest("test", 9, entries)
         ds.save_manifest(manifest, tmp_path / "m.json")
         assert ds.load_manifest(tmp_path / "m.json") == manifest
+
+    def test_psnr_split_round_trip(self, tmp_path):
+        sets = ds.build_psnr_sets(ds.TABLE_WAVEFORMS[:2], [-3.0, 6.0, math.inf], 3, seed=8)
+        written = ds.write_psnr_split(tmp_path, 8, sets)
+        manifest = ds.load_manifest(tmp_path / "manifest_psnr.json")
+        assert manifest == written and manifest.split == "psnr"
+        back = ds.group_psnr_sets(manifest, tmp_path)
+        assert [(s.waveform, s.target_psnr_db, len(s.chunks)) for s in back] == \
+            [(s.waveform, s.target_psnr_db, len(s.chunks)) for s in sets]
+        for got, want in zip(back, sets):
+            # the payload stores complex64; the measured PSNR is re-estimated from it
+            assert got.measured_psnr_db == pytest.approx(want.measured_psnr_db, abs=1e-6)
+            for cg, cw in zip(got.chunks, want.chunks):
+                np.testing.assert_array_equal(cg.samples, cw.samples.astype(np.complex64))
+                np.testing.assert_array_equal(cg.radar_mask, cw.radar_mask)
+                assert (cg.label, cg.provenance) == (cw.label, cw.provenance)
