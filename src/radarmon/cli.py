@@ -14,7 +14,9 @@ On disk, dataset writes each chunk set as one split under --out: the
 scenario's ``train`` and ``test`` and the psnr_sweep's ``psnr``, each as
 ``manifest_<split>.json`` plus ``chunks/<split>_NNNNNN.iq`` payloads with
 ``.iq.json`` sidecars.  train and eval --manifest read one manifest;
-eval --psnr-dir D reads ``D/manifest_psnr.json``.
+eval --psnr-dir D reads ``D/manifest_psnr.json``.  repr --kind V writes
+the input that train and eval feed a variant V (S, AP, A or P) model for
+one 1024-sample chunk, as text with its channels side by side.
 
 Exit codes: 0 success; 1 a bad config or a missing input file; 2 any other
 failure, with its traceback on stderr.  RADARMON_WORKERS (default 1) sets
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import emitters, evaluate, nn, radar, represent
-from .iqcore import CHUNK_LEN, read_iq_file, write_iq_file, radar_mask, make_chunk
+from .iqcore import CHUNK_LEN, read_iq_file, write_iq_file
 from .schema import fits, require, type_name
 
 
@@ -148,6 +150,9 @@ class TrainConfig:
 class EvalConfig:
     threshold: float = 0.5
 
+    def __post_init__(self):
+        require(0 <= self.threshold <= 1, "threshold must be within [0, 1] (a P(radar) cut)")
+
 
 def from_dict(cls, doc, path: str = ""):
     """Build dataclass ``cls`` from a JSON object whose keys are its init fields.
@@ -243,9 +248,8 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, TrainConfig)
     manifest = ds.load_manifest(args.manifest)
     root = Path(args.manifest).parent
-    chunks = [ds.load_chunk(root, e) for e in manifest.entries]
+    x = represent.model_batch((ds.load_chunk(root, e) for e in manifest.entries), cfg.variant)
     labels = np.array([e.label for e in manifest.entries], dtype=np.intp)
-    x = np.stack([represent.model_input(c, cfg.variant) for c in chunks]).astype(np.float32)
     model, losses = nn.train(
         cfg.variant,
         (x, labels),
@@ -288,24 +292,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_REPR_KINDS = {
-    "amplitude": represent.amplitude,
-    "phase_diff": represent.phase_diff,
-    "spectrogram": represent.spectrogram,
-    "dft": represent.dft_mag,
-    "ap": lambda chunk: np.hstack(np.moveaxis(represent.ap_tensor(chunk), -1, 0)),  # [A | P]
-}
-
-
 def cmd_repr(args) -> int:
-    if args.kind not in _REPR_KINDS:
-        raise ConfigError(f"unknown representation kind {args.kind!r}")
-    stream = read_iq_file(args.chunk)
-    if args.kind in ("ap", "spectrogram") and len(stream) != CHUNK_LEN:
+    if args.kind not in nn.INPUT_SHAPES:
+        raise ConfigError(f"--kind must be a model variant, one of {sorted(nn.INPUT_SHAPES)}; "
+                          f"got {args.kind!r}")
+    samples = read_iq_file(args.chunk).samples
+    if len(samples) != CHUNK_LEN:
         raise ConfigError(f"--kind {args.kind} needs a {CHUNK_LEN}-sample chunk; "
-                          f"{args.chunk} holds {len(stream)} samples")
-    chunk = make_chunk(stream.samples, radar_mask(stream.annotations, len(stream)))
-    matrix = _REPR_KINDS[args.kind](chunk)
+                          f"{args.chunk} holds {len(samples)} samples")
+    matrix = np.hstack(represent.model_input(samples, args.kind))  # channels side by side
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     represent.export_matrix(matrix, out)
@@ -323,7 +318,8 @@ def _parser() -> argparse.ArgumentParser:
          "loss-out"),
         ("eval", cmd_eval, "score a model: accuracy report and/or Pd curves", "model out",
          "manifest psnr-dir config"),
-        ("repr", cmd_repr, "dump a representation matrix as text", "chunk kind out", ""),
+        ("repr", cmd_repr, "dump a model variant's input (--kind S, AP, A or P) as text",
+         "chunk kind out", ""),
     )
     for name, func, help_text, required, optional in commands:
         p = sub.add_parser(name, help=help_text)

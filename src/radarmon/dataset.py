@@ -98,6 +98,8 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             require(lo <= hi, f"{name} must satisfy lo <= hi, got {(lo, hi)}")
         require(self.su_power_range[0] > 0, "su_power_range must be positive (sampled log-uniformly)")
+        for name in ("multipath_delay_range", "multipath_mag_range"):
+            require(getattr(self, name)[0] >= 0, f"{name} must be non-negative")
         require(self.seed >= 0, "seed must be >= 0")
         for name in ("class0_mix", "class1_mix"):
             mixp = getattr(self, name)
@@ -108,6 +110,9 @@ class ScenarioConfig:
                 "carrier_offsets_hz must be a non-empty tuple of offsets below Nyquist")
         require(len(self.waveforms) > 0 and max(w.pw_s for w in self.waveforms) < self.pri_s,
                 "waveforms must be non-empty, with every pulse width below pri_s")
+        shortest = min(CHUNK_LEN, min(round(w.pw_s * self.sample_rate_hz) for w in self.waveforms))
+        require(self.min_visible_samples <= shortest,
+                f"min_visible_samples must not exceed the shortest pulse or the chunk: {shortest} samples")
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class ManifestEntry:
     """One chunk of a split, at ``path`` relative to the manifest's directory.
 
     ``psnr_db`` is a ``psnr`` entry's target PSNR (its set's; ``inf`` when
-    noise-free) and ``None`` for ``train``/``test``.
+    noise-free, stored as ``"inf"``) and ``None`` for ``train``/``test``.
     """
 
     path: str
@@ -327,19 +332,25 @@ def write_split(out_dir, split: str, seed: int, items, sample_rate_hz: float) ->
     return manifest
 
 
+_NOISE_FREE = "inf"  # a noise-free psnr_db in the manifest; JSON has no infinity
+
+
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {"split": manifest.split, "seed": manifest.seed,
-           "entries": [asdict(e) for e in manifest.entries]}
+    entries = [{**asdict(e), "psnr_db": _NOISE_FREE} if e.psnr_db == math.inf else asdict(e)
+               for e in manifest.entries]
+    doc = {"split": manifest.split, "seed": manifest.seed, "entries": entries}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a manifest; a noise-free target may be ``"inf"`` or the older bare ``Infinity``."""
     with open(path) as fh:
         doc = json.load(fh)
-    entries = tuple(ManifestEntry(**e) for e in doc["entries"])
-    return DatasetManifest(doc["split"], doc["seed"], entries)
+    entries = (ManifestEntry(**{**e, "psnr_db": math.inf} if e.get("psnr_db") == _NOISE_FREE else e)
+               for e in doc["entries"])
+    return DatasetManifest(doc["split"], doc["seed"], tuple(entries))
 
 
 def estimate_psnr(chunks) -> float:

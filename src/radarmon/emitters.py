@@ -45,7 +45,6 @@ LTE_SYMBOL_S = 66.7e-6  # OFDM symbol length of the LTE numerology, not a tunabl
 class LteParams:
     bandwidth_hz: float = 10e6
     load: float = 0.5
-    reference_burst: bool = True
     power: float = 1.0
 
     def __post_init__(self):
@@ -166,7 +165,7 @@ def synth_lte(params: LteParams, duration_s: float, fs_hz: float, seed=0) -> Sam
                 )
         else:
             sym = _IDLE_SYMBOL_LEVEL * _lte_symbol(rng, n_fit, params.bandwidth_hz, fs_hz)
-            if params.reference_burst and n_fit > n_ref:
+            if n_fit > n_ref:
                 start = int(rng.integers(0, n_fit - n_ref))
                 burst = _lte_symbol(rng, n_ref, params.bandwidth_hz, fs_hz)
                 sym[start : start + n_ref] += burst

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import nn
 from .dataset import DatasetManifest, PsnrSet, load_chunk
-from .represent import model_input
+from .represent import model_batch
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def _probs_class0(model: nn.CnnModel, chunks) -> np.ndarray:
     """P(radar) per chunk, from the model's own representation in ``_BATCH``-chunk batches."""
     probs = []
     for lo in range(0, len(chunks), _BATCH):
-        batch = chunks[lo : lo + _BATCH]
-        x = np.stack([model_input(c, model.variant) for c in batch], dtype=np.float32)
+        x = model_batch(chunks[lo : lo + _BATCH], model.variant)
         probs.append(nn.forward(model, x, fused=True)[:, 0])
     return np.concatenate(probs) if probs else np.zeros(0)
 

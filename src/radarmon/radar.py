@@ -62,9 +62,6 @@ class Jitter:
     toa_samples: int = 2
 
 
-NO_JITTER = Jitter(0.0, 0)
-
-
 @dataclass(frozen=True)
 class RadarParams:
     ipm: Ipm

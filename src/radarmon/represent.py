@@ -1,9 +1,11 @@
 """Signal representations fed to the classifiers.
 
-Four views of a 1024-sample chunk: amplitude envelope, consecutive-sample
-phase difference, a 64x64 log-magnitude spectrogram, and the stacked
-amplitude+phase tensor.  All outputs are scale-normalized so absolute
-receiver gain carries no information.
+``model_input(chunk, variant)`` is the one way to get a CNN variant's view
+of a 1024-sample chunk, channel-first: a spectrogram (S), amplitude (A),
+phase difference (P), or the two stacked (AP).  ``model_batch`` stacks
+those views into the float32 (N, C, H, W) batch the engine takes.
+Amplitude is divided by its per-chunk maximum, so absolute receiver gain
+carries no information; phase difference (-pi, pi] maps onto (0, 1].
 
 Spectrogram geometry: 64-point Hann-windowed STFT with hop 16 uses the full
 chunk and yields 61 frames, zero-padded to 64 so the image is square.
@@ -74,62 +76,54 @@ def spectrogram(chunk) -> np.ndarray:
     return np.fft.fftshift(img, axes=0)
 
 
-def dft_mag(chunk) -> np.ndarray:
-    """Magnitude-squared DFT of the whole chunk, FFT-shifted."""
-    return np.fft.fftshift(np.abs(np.fft.fft(_samples(chunk))) ** 2)
+def _unit_amplitude(x) -> np.ndarray:
+    """Amplitude divided by its maximum; all zeros for a silent chunk."""
+    amp = amplitude(x)
+    peak = amp.max()
+    return amp / peak if peak >= _MAG_EPS else np.zeros_like(amp)
+
+
+def _unit_phase(x) -> np.ndarray:
+    """Phase difference (-pi, pi] mapped onto (0, 1]."""
+    return (phase_diff(x) + np.pi) / (2.0 * np.pi)
 
 
 def ap_tensor(chunk) -> np.ndarray:
-    """64x64x2 stacked representation: normalized amplitude and phase difference.
+    """2x64x64 channel-first stack: normalized amplitude, then mapped phase difference.
 
-    Channel 0 is amplitude divided by its maximum (all zeros for a silent
-    chunk); channel 1 maps phase difference (-pi, pi] onto (0, 1].  Each
-    1024-vector is laid out row-major as 16 rows of 64 consecutive samples,
-    every row replicated four times to fill the 64x64 plane, so
-    :func:`ap_inverse` recovers the 1024x2 matrix exactly.
+    Each 1024-vector is laid out row-major as 16 rows of 64 consecutive
+    samples, every row repeated four times to fill its 64x64 plane, so
+    ``ap_tensor(x)[c, ::4].ravel()`` is channel ``c``'s vector exactly.
     """
     x = _samples(chunk)
     if x.size != CHUNK_LEN:
         raise ValueError(f"AP tensor requires a {CHUNK_LEN}-sample chunk, got {x.size} samples")
-    amp = amplitude(x)
-    peak = amp.max()
-    ch0 = amp / peak if peak >= _MAG_EPS else np.zeros_like(amp)
-    ch1 = (phase_diff(x) + np.pi) / (2.0 * np.pi)
-    planes = [v.reshape(16, 64).repeat(4, axis=0) for v in (ch0, ch1)]
-    return np.stack(planes, axis=-1)
-
-
-def ap_inverse(tensor: np.ndarray) -> np.ndarray:
-    """Recover the 1024x2 (amplitude, phase) matrix from an AP tensor."""
-    if tensor.shape != (64, 64, 2):
-        raise ValueError("expected a 64x64x2 AP tensor")
-    return np.stack(
-        [tensor[::4, :, c].reshape(1024) for c in range(2)], axis=-1
-    )
+    planes = [unit(x).reshape(16, 64).repeat(4, axis=0) for unit in (_unit_amplitude, _unit_phase)]
+    return np.stack(planes)
 
 
 def model_input(chunk, variant: str) -> np.ndarray:
-    """Representation tensor in (channels, height, width) layout for a CNN variant.
+    """A CNN variant's view of a chunk, in (channels, height, width) layout.
 
-    S: 1x64x64 spectrogram.  AP: 2x64x64 amplitude+phase stack.
+    S: 1x64x64 spectrogram.  AP: the 2x64x64 ``ap_tensor``.
     A / P: the normalized 1024-vector reshaped row-major to 1x32x32.
     """
     if variant == "S":
         return spectrogram(chunk)[None, :, :]
     if variant == "AP":
-        return np.moveaxis(ap_tensor(chunk), 2, 0)
+        return ap_tensor(chunk)
     if variant == "A":
-        amp = amplitude(chunk)
-        peak = amp.max()
-        norm = amp / peak if peak >= _MAG_EPS else np.zeros_like(amp)
-        return norm.reshape(1, 32, 32)
+        return _unit_amplitude(chunk).reshape(1, 32, 32)
     if variant == "P":
-        ch = (phase_diff(chunk) + np.pi) / (2.0 * np.pi)
-        return ch.reshape(1, 32, 32)
+        return _unit_phase(chunk).reshape(1, 32, 32)
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def model_batch(chunks, variant: str) -> np.ndarray:
+    """The float32 (N, C, H, W) stack of ``model_input`` over ``chunks``."""
+    return np.stack([model_input(c, variant) for c in chunks], dtype=np.float32)
+
+
 def export_matrix(matrix: np.ndarray, path) -> None:
-    """Write a 1-D or 2-D representation as delimited text for plotting."""
-    arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    np.savetxt(path, arr, fmt="%.9e", delimiter="\t")
+    """Write a 2-D representation as tab-delimited text for plotting."""
+    np.savetxt(path, matrix, fmt="%.9e", delimiter="\t")

@@ -3,7 +3,7 @@ import pytest
 
 from radarmon.channel import apply_multipath, mix
 from radarmon.iqcore import Emitter, PulseAnnotation, SampleStream, chunk_stream
-from radarmon.radar import NO_JITTER, Pc, RadarParams, synth_pulse_train
+from radarmon.radar import Jitter, Pc, RadarParams, synth_pulse_train
 
 FS = 20e6
 
@@ -20,7 +20,7 @@ class TestApplyMultipath:
         np.testing.assert_array_equal(out.samples, stream.samples)
 
     def test_pulse_support_widens(self):
-        params = RadarParams(ipm=Pc(), pw_s=2e-6, pri_s=1e-3, jitter=NO_JITTER)
+        params = RadarParams(ipm=Pc(), pw_s=2e-6, pri_s=1e-3, jitter=Jitter(0.0, 0))
         stream = synth_pulse_train(params, 1.5e-3, FS, seed=0)
         out = apply_multipath(stream, ((0, 1.0 + 0j), (4, 0.5 + 0j)))
         ann = out.annotations[0]

@@ -8,7 +8,7 @@ import pytest
 
 from radarmon import cli, emitters, nn, represent
 from radarmon import dataset as ds
-from radarmon.iqcore import make_chunk, radar_mask, read_iq_file, stream_window, write_iq_file
+from radarmon.iqcore import read_iq_file, stream_window, write_iq_file
 
 
 def write_config(path, doc):
@@ -66,7 +66,7 @@ class TestSchema:
 
     def test_config_key_count(self):
         commands = (cli.SynthConfig, cli.DatasetConfig, cli.TrainConfig, cli.EvalConfig)
-        assert sum(len(list(config_keys(c))) for c in commands) == 49
+        assert sum(len(list(config_keys(c))) for c in commands) == 48
 
     def test_lists_become_tuples_and_names_become_waveforms(self):
         cfg = cli.from_dict(ds.ScenarioConfig, {"waveforms": ["lfm10"], "psnr_range_db": [3, 4]})
@@ -109,11 +109,11 @@ def test_end_to_end_pipeline(tmp_path, monkeypatch, capsys):
     assert (out / "reports.csv").read_text().splitlines()[1].startswith("AP,")
     assert [p.name for p in sorted(out.glob("pd_*.csv"))] == ["pd_AP_pc10.csv"]
 
-    assert cli.main(["repr", "--chunk", str(data / "chunks" / "test_000000.iq"), "--kind", "ap",
+    assert cli.main(["repr", "--chunk", str(data / "chunks" / "test_000000.iq"), "--kind", "AP",
                      "--out", str(tmp_path / "ap.txt")]) == 0
     chunk = ds.load_chunk(data, ds.load_manifest(data / "manifest_test.json").entries[0])
     tensor = represent.ap_tensor(chunk)
-    expected = np.concatenate([tensor[:, :, 0], tensor[:, :, 1]], axis=1)
+    expected = np.concatenate([tensor[0], tensor[1]], axis=1)
     np.testing.assert_allclose(np.loadtxt(tmp_path / "ap.txt"), expected, rtol=1e-8)
     assert capsys.readouterr().err == ""
 
@@ -168,6 +168,23 @@ BAD_CONFIGS = [
           ("noise", {"noise": {"power": math.inf}}, "noise.power", "inf", "finite float"),
           ("wlan", {"wlan": {"power": math.inf}}, "wlan.power", "inf", "finite float"),
           ("lte", {"lte": {"power": math.nan}}, "lte.power", "nan", "finite float")]),
+    # a negative delay failed in synthesis with a broadcast error; a negative magnitude turned multipath off
+    bad_config("dataset", {"scenario": {"multipath_delay_range": [-3, -1], "multipath_mag_range": [0.2, 0.5]}},
+               "multipath_delay_range must be non-negative", id="multipath_delay_range=[-3, -1]"),
+    bad_config("dataset", {"scenario": {"multipath_mag_range": [-0.5, -0.1]}},
+               "multipath_mag_range must be non-negative", id="multipath_mag_range=[-0.5, -0.1]"),
+    # more visible samples than a chunk or the shortest pulse (pc2: 40 samples) holds failed in synthesis
+    *(bad_config("dataset", {"scenario": scenario}, f"min_visible_samples must not exceed {hint}", id=id_)
+      for scenario, hint, id_ in [
+          ({"min_visible_samples": 5000}, "the shortest pulse or the chunk: 40 samples",
+           "min_visible_samples=5000"),
+          ({"sample_rate_hz": 200e6, "waveforms": ["pc10"], "min_visible_samples": 1025},
+           "the shortest pulse or the chunk: 1024 samples", "min_visible_samples=1025 at 200 MHz"),
+          ({"waveforms": ["pc2"], "min_visible_samples": 100}, "", "min_visible_samples=100 pc2"),
+          ({"waveforms": ["pc2"], "min_visible_samples": 41, "multipath_mag_range": [0, 0]}, "",
+           "min_visible_samples=41 pc2 no multipath")]),
+    bad_config("eval", {"threshold": 5.0}, "threshold must be within [0, 1]", id="threshold=5.0"),
+    bad_config("eval", {"threshold": -1.0}, "threshold must be within [0, 1]", id="threshold=-1.0"),
 ]
 
 
@@ -177,6 +194,8 @@ def test_bad_config_exits_1_before_any_work(tmp_path, capsys, command, doc, key)
     argv = [command, "--config", config, "--out", str(tmp_path / "out" / "x")]
     if command == "train":
         argv += ["--manifest", str(tmp_path / "manifest_train.json")]
+    if command == "eval":
+        argv += ["--model", str(tmp_path / "model.cnn")]
     assert cli.main(argv) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -185,6 +204,29 @@ def test_bad_config_exits_1_before_any_work(tmp_path, capsys, command, doc, key)
 def test_noise_free_psnr_target_is_accepted():
     sweep = cli.from_dict(cli.PsnrSweep, {"targets_db": [0, math.inf]})
     assert sweep.targets_db == (0, math.inf)
+
+
+def test_dataset_json_is_strict_with_a_noise_free_target(tmp_path):
+    config = write_config(tmp_path / "dataset.json", {
+        "scenario": {"train_per_class": 1, "test_per_class": 1},
+        "psnr_sweep": {"targets_db": [6, math.inf], "chunks_per_set": 2, "waveforms": ["pc10"]},
+    })
+    data = tmp_path / "data"
+    assert cli.main(["dataset", "--config", config, "--out", str(data)]) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    written = sorted(data.rglob("*.json"))
+    assert {"manifest_train.json", "manifest_test.json", "manifest_psnr.json"} < {p.name for p in written}
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject)
+    manifest = ds.load_manifest(data / "manifest_psnr.json")
+    assert [e.psnr_db for e in manifest.entries] == [6, 6, math.inf, math.inf]
+    # a manifest written with the bare Infinity token still loads
+    legacy = data / "legacy.json"
+    legacy.write_text((data / "manifest_psnr.json").read_text().replace('"inf"', "Infinity"))
+    assert ds.load_manifest(legacy) == manifest
 
 
 def test_eval_psnr_dir_without_a_psnr_split_exits_1(tmp_path, capsys):
@@ -236,18 +278,31 @@ def test_synth_writes_every_emitter(tmp_path, emitter):
     assert len(read_iq_file(out)) == 40000
 
 
-@pytest.mark.parametrize("kind", sorted(cli._REPR_KINDS))
+@pytest.mark.parametrize("kind", sorted(nn.INPUT_SHAPES))
 def test_repr_writes_every_kind(tmp_path, kind):
     radar = read_iq_file(synth_radar(tmp_path))
     one_chunk = tmp_path / "chunk.iq"
     write_iq_file(stream_window(radar, 0, 1024), one_chunk)  # holds the first pulse
     out = tmp_path / "repr" / f"{kind}.txt"
     assert cli.main(["repr", "--chunk", str(one_chunk), "--kind", kind, "--out", str(out)]) == 0
-    stream = read_iq_file(one_chunk)
-    chunk = make_chunk(stream.samples, radar_mask(stream.annotations, len(stream)))
-    expected = np.atleast_2d(cli._REPR_KINDS[kind](chunk))
-    assert expected.size > 0
-    np.testing.assert_allclose(np.loadtxt(out, ndmin=2), expected, rtol=1e-8)
+    planes = represent.model_input(read_iq_file(one_chunk).samples, kind)
+    channels, height, width = nn.INPUT_SHAPES[kind]
+    got = np.loadtxt(out, ndmin=2)
+    assert got.shape == (height, channels * width)
+    for c, plane in enumerate(planes):  # channels side by side
+        np.testing.assert_allclose(got[:, c * width : (c + 1) * width], plane, rtol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["spectrogram", "dft"])  # renamed to S; removed
+def test_repr_of_a_name_that_is_not_a_variant_exits_1(tmp_path, capsys, kind):
+    chunk = synth_radar(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "repr" / "m.txt"
+    assert cli.main(["repr", "--chunk", str(chunk), "--kind", kind, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"got {kind!r}" in err and "['A', 'AP', 'P', 'S']" in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_repr_without_sidecar_exits_1(tmp_path, capsys):
@@ -255,14 +310,14 @@ def test_repr_without_sidecar_exits_1(tmp_path, capsys):
     (tmp_path / "r.iq.json").unlink()
     capsys.readouterr()
     out = tmp_path / "repr" / "a.txt"
-    assert cli.main(["repr", "--chunk", str(chunk), "--kind", "amplitude", "--out", str(out)]) == 1
+    assert cli.main(["repr", "--chunk", str(chunk), "--kind", "A", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "missing sidecar" in err and "r.iq.json" in err
     assert "Traceback" not in err
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("kind", ["ap", "spectrogram"])
+@pytest.mark.parametrize("kind", sorted(nn.INPUT_SHAPES))
 def test_repr_of_a_stream_that_is_not_one_chunk_exits_1(tmp_path, capsys, kind):
     chunk = synth_radar(tmp_path)
     capsys.readouterr()

@@ -6,7 +6,6 @@ from radarmon.radar import (
     BarkerPm,
     Jitter,
     Lfm,
-    NO_JITTER,
     Pc,
     RadarParams,
     synth_pulse,
@@ -18,7 +17,7 @@ FS = 20e6
 
 
 def no_jitter_params(ipm, pw_s, **kw):
-    return RadarParams(ipm=ipm, pw_s=pw_s, pri_s=1e-3, jitter=NO_JITTER, **kw)
+    return RadarParams(ipm=ipm, pw_s=pw_s, pri_s=1e-3, jitter=Jitter(0.0, 0), **kw)
 
 
 class TestSynthPulse:

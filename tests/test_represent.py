@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from radarmon import nn
 from radarmon.iqcore import make_chunk
 from radarmon.radar import BarkerPm, Pc, synth_pulse
 from radarmon.represent import (
     amplitude,
-    ap_inverse,
     ap_tensor,
-    dft_mag,
+    model_batch,
     model_input,
     phase_diff,
     spectrogram,
@@ -122,51 +122,31 @@ class TestSpectrogram:
         assert frac >= 0.9
 
 
-class TestDftMag:
-    def test_zeros(self):
-        np.testing.assert_array_equal(dft_mag(np.zeros(1024, dtype=complex)), np.zeros(1024))
-
-    def test_unit_impulse_flat(self):
-        x = np.zeros(1024, dtype=complex)
-        x[0] = 1.0
-        np.testing.assert_allclose(dft_mag(x), np.ones(1024), atol=1e-12)
-
-    def test_matches_direct_summation_oracle(self):
-        rng = np.random.default_rng(11)
-        n = 1024
-        k = np.arange(n)
-        dft_matrix = np.exp(-2j * np.pi * np.outer(k, k) / n)
-        for _ in range(5):
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            oracle = np.fft.fftshift(np.abs(dft_matrix @ x) ** 2)
-            got = dft_mag(x)
-            rel = np.max(np.abs(got - oracle) / np.maximum(np.abs(oracle), 1e-9))
-            assert rel < 1e-6
-
-
 class TestApTensor:
     def test_all_zero_chunk(self):
         t = ap_tensor(np.zeros(1024, dtype=complex))
-        assert t.shape == (64, 64, 2)
-        np.testing.assert_array_equal(t[:, :, 0], np.zeros((64, 64)))
-        np.testing.assert_array_equal(t[:, :, 1], np.full((64, 64), 0.5))
+        assert t.shape == (2, 64, 64)
+        np.testing.assert_array_equal(t[0], np.zeros((64, 64)))
+        np.testing.assert_array_equal(t[1], np.full((64, 64), 0.5))
 
     def test_inverse_recovers_vectors_exactly(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         t = ap_tensor(x)
-        mat = ap_inverse(t)
         amp = amplitude(x)
-        np.testing.assert_array_equal(mat[:, 0], amp / amp.max())
-        np.testing.assert_array_equal(mat[:, 1], (phase_diff(x) + np.pi) / (2 * np.pi))
+        vectors = (amp / amp.max(), (phase_diff(x) + np.pi) / (2 * np.pi))
+        # each plane holds its 1024-vector row-major, 64 samples a row, every row four times
+        for plane, vector in zip(t, vectors):
+            for row in range(64):
+                np.testing.assert_array_equal(plane[row], vector[64 * (row // 4) : 64 * (row // 4 + 1)])
 
     def test_cfo_leaves_channel0_and_shifts_channel1(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         base = ap_tensor(x)
         moved = ap_tensor(rotate(x, 3e6))
-        np.testing.assert_allclose(moved[:, :, 0], base[:, :, 0], atol=1e-12)
-        delta = (moved[1:, :, 1] - base[1:, :, 1]) % 1.0
+        np.testing.assert_allclose(moved[0], base[0], atol=1e-12)
+        delta = (moved[1, 1:] - base[1, 1:]) % 1.0
         expected = (2 * np.pi * 3e6 / FS / (2 * np.pi)) % 1.0
         # row 0 holds the fixed dphi[0] = 0 convention; all later entries shift
         np.testing.assert_allclose(delta[3:], expected, atol=1e-9)
@@ -201,6 +181,15 @@ class TestModelInput:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             model_input(np.ones(1024, dtype=complex), "Q")
+
+    @pytest.mark.parametrize("variant", sorted(nn.INPUT_SHAPES))
+    def test_batch_is_the_float32_stack_of_inputs(self, variant):
+        rng = np.random.default_rng(12)
+        chunks = [rng.standard_normal(1024) + 1j * rng.standard_normal(1024) for _ in range(3)]
+        batch = model_batch(iter(chunks), variant)
+        assert batch.dtype == np.float32 and batch.shape == (3, *nn.INPUT_SHAPES[variant])
+        for got, chunk in zip(batch, chunks):
+            np.testing.assert_array_equal(got, model_input(chunk, variant).astype(np.float32))
 
     def test_works_on_chunks(self):
         chunk = make_chunk(np.ones(1024, dtype=complex), np.zeros(1024, bool), "t")
