@@ -16,10 +16,7 @@ def _merge_per_emitter(annotations) -> tuple[PulseAnnotation, ...]:
         if idx is not None and ann.start_idx < merged[idx].end_idx:
             prev = merged[idx]
             merged[idx] = PulseAnnotation(
-                prev.start_idx,
-                max(prev.end_idx, ann.end_idx) - prev.start_idx,
-                prev.emitter,
-                max(prev.peak_amplitude, ann.peak_amplitude),
+                prev.start_idx, max(prev.end_idx, ann.end_idx) - prev.start_idx, prev.emitter
             )
         else:
             last[ann.emitter] = len(merged)
@@ -47,12 +44,7 @@ def apply_multipath(
         else:
             out += gain * stream.samples
     anns = [
-        PulseAnnotation(
-            a.start_idx,
-            min(a.length + max_delay, n - a.start_idx),
-            a.emitter,
-            a.peak_amplitude,
-        )
+        PulseAnnotation(a.start_idx, min(a.length + max_delay, n - a.start_idx), a.emitter)
         for a in stream.annotations
     ]
     return SampleStream(

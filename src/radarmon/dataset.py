@@ -13,6 +13,10 @@ On disk every chunk set is a split: ``train``, ``test`` or ``psnr``.
 (each with its ``.iq.json`` sidecar) and one ``manifest_<split>.json``.
 ``write_psnr_split`` gives each ``psnr`` entry its set's waveform and
 target PSNR; ``group_psnr_sets`` regroups those entries into ``PsnrSet``s.
+
+A chunk's ground truth is its radar mask; its sidecar holds the mask as
+radar spans.  ``iqcore`` maps between the two: ``as_stream`` on write,
+``as_chunk`` on load.
 """
 
 from __future__ import annotations
@@ -32,13 +36,10 @@ from . import emitters, radar
 from .channel import apply_multipath, mix
 from .iqcore import (
     CHUNK_LEN,
-    Emitter,
     IqChunk,
-    PulseAnnotation,
     SampleStream,
-    chunk_stream,
-    make_chunk,
-    radar_mask,
+    as_chunk,
+    as_stream,
     read_iq_file,
     stream_window,
     write_iq_file,
@@ -49,6 +50,8 @@ CLASS0_SUBCASES = ("radar-only", "radar+wlan", "radar+lte")
 CLASS1_SUBCASES = ("lte-only", "wlan-only", "noise")
 
 CARRIER_OFFSETS_HZ = (-6e6, -3e6, 0.0, 3e6, 6e6)
+
+SU_SPAN = 8192  # samples of secondary-user stream each SU window is sliced from
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,8 @@ class ScenarioConfig:
         require(self.su_power_range[0] > 0, "su_power_range must be positive (sampled log-uniformly)")
         for name in ("multipath_delay_range", "multipath_mag_range"):
             require(getattr(self, name)[0] >= 0, f"{name} must be non-negative")
+        require(self.multipath_delay_range[1] < CHUNK_LEN,
+                f"multipath_delay_range must stay below the chunk length, {CHUNK_LEN} samples")
         require(self.seed >= 0, "seed must be >= 0")
         for name in ("class0_mix", "class1_mix"):
             mixp = getattr(self, name)
@@ -113,6 +118,10 @@ class ScenarioConfig:
         shortest = min(CHUNK_LEN, min(round(w.pw_s * self.sample_rate_hz) for w in self.waveforms))
         require(self.min_visible_samples <= shortest,
                 f"min_visible_samples must not exceed the shortest pulse or the chunk: {shortest} samples")
+        min_burst_s = emitters.WlanParams().burst_len_s[0]
+        require(SU_SPAN / self.sample_rate_hz > min_burst_s,
+                f"sample_rate_hz must be below {SU_SPAN / min_burst_s:g} Hz, so the {SU_SPAN}-sample "
+                "secondary-user span outlasts the shortest WLAN burst")
 
 
 @dataclass(frozen=True)
@@ -204,8 +213,7 @@ def _radar_window(cfg: ScenarioConfig, rng, waveform: WaveformSpec, offset_hz: f
 
 def _su_window(cfg: ScenarioConfig, rng, kind: str, power: float, prefer_burst: bool) -> SampleStream:
     """A 1024-sample window sliced from a longer secondary-user stream."""
-    n_span = 8192
-    duration = n_span / cfg.sample_rate_hz
+    duration = SU_SPAN / cfg.sample_rate_hz
     if kind == "wlan":
         stream = emitters.synth_wlan(
             emitters.WlanParams(power=power), duration, cfg.sample_rate_hz,
@@ -255,7 +263,7 @@ def synth_entry_chunk(cfg: ScenarioConfig, split: str, index: int, label: int) -
                 SampleStream(np.zeros(CHUNK_LEN, dtype=np.complex128), cfg.sample_rate_hz)
             )
     mixed = mix(parts, noise_power=noise_power, seed=rng.integers(2**63))
-    chunk = chunk_stream(mixed, provenance=subcase)[0]
+    chunk = as_chunk(mixed, provenance=subcase)
     if label == 0 and int(chunk.radar_mask.sum()) < cfg.min_visible_samples:
         raise RuntimeError("class-0 chunk lost pulse visibility")  # guarded by window choice
     if chunk.label != label:
@@ -280,21 +288,12 @@ def iter_split(cfg: ScenarioConfig, split: str, map_fn=map):
         yield index, chunk, meta
 
 
-def chunk_to_stream(chunk: IqChunk, sample_rate_hz: float) -> SampleStream:
-    """Wrap one chunk as a stream, rebuilding annotations from mask runs."""
-    mask = chunk.radar_mask
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    annotations = []
-    for lo, hi in zip(edges[0::2], edges[1::2]):
-        peak = float(np.abs(chunk.samples[lo:hi]).max())
-        annotations.append(PulseAnnotation(int(lo), int(hi - lo), Emitter.RADAR, peak))
-    return SampleStream(chunk.samples, sample_rate_hz, tuple(annotations))
-
-
 def load_chunk(root, entry: ManifestEntry) -> IqChunk:
-    stream = read_iq_file(Path(root) / entry.path)
-    mask = radar_mask(stream.annotations, len(stream))
-    return make_chunk(stream.samples, mask, entry.provenance)
+    path = Path(root) / entry.path
+    stream = read_iq_file(path)
+    if len(stream) != CHUNK_LEN:
+        raise ValueError(f"{path} holds {len(stream)} samples, not one {CHUNK_LEN}-sample chunk")
+    return as_chunk(stream, entry.provenance)
 
 
 def build_dataset(cfg: ScenarioConfig, out_dir, workers: int = 1) -> BuiltDataset:
@@ -325,7 +324,7 @@ def write_split(out_dir, split: str, seed: int, items, sample_rate_hz: float) ->
     entries = []
     for index, (chunk, meta) in enumerate(items):
         rel = f"chunks/{split}_{index:06d}.iq"
-        write_iq_file(chunk_to_stream(chunk, sample_rate_hz), out_dir / rel)
+        write_iq_file(as_stream(chunk, sample_rate_hz), out_dir / rel)
         entries.append(ManifestEntry(rel, chunk.label, chunk.provenance, **meta))
     manifest = DatasetManifest(split, seed, tuple(entries))
     save_manifest(manifest, out_dir / f"manifest_{split}.json")
@@ -402,7 +401,7 @@ def build_psnr_sets(
                 offset = _choice(rng, cfg.carrier_offsets_hz)
                 window, _ = _radar_window(cfg, rng, waveform, offset, use_multipath=False)
                 mixed = mix([window], noise_power=noise_power, seed=rng.integers(2**63))
-                chunks.append(chunk_stream(mixed, provenance="radar+noise")[0])
+                chunks.append(as_chunk(mixed, provenance="radar+noise"))
             sets.append(
                 PsnrSet(
                     waveform=waveform.name,

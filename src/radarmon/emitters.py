@@ -109,9 +109,7 @@ def synth_wlan(params: WlanParams, duration_s: float, fs_hz: float, seed=0) -> S
         burst = amp * burst
         out[pos : pos + n_burst] = burst
         if params.power > 0:
-            annotations.append(
-                PulseAnnotation(pos, n_burst, Emitter.WLAN, float(np.abs(burst).max()))
-            )
+            annotations.append(PulseAnnotation(pos, n_burst, Emitter.WLAN))
         pos += n_burst
     return SampleStream(samples=out, sample_rate_hz=fs_hz, annotations=tuple(annotations))
 
@@ -160,9 +158,7 @@ def synth_lte(params: LteParams, duration_s: float, fs_hz: float, seed=0) -> Sam
             sym = _lte_symbol(rng, n_fit, params.bandwidth_hz, fs_hz)
             out[pos : pos + n_fit] = amp * sym
             if params.power > 0:
-                annotations.append(
-                    PulseAnnotation(pos, n_fit, Emitter.LTE, float(np.abs(sym).max() * amp))
-                )
+                annotations.append(PulseAnnotation(pos, n_fit, Emitter.LTE))
         else:
             sym = _IDLE_SYMBOL_LEVEL * _lte_symbol(rng, n_fit, params.bandwidth_hz, fs_hz)
             if n_fit > n_ref:
@@ -170,11 +166,7 @@ def synth_lte(params: LteParams, duration_s: float, fs_hz: float, seed=0) -> Sam
                 burst = _lte_symbol(rng, n_ref, params.bandwidth_hz, fs_hz)
                 sym[start : start + n_ref] += burst
                 if params.power > 0:
-                    annotations.append(
-                        PulseAnnotation(
-                            pos + start, n_ref, Emitter.LTE, float(np.abs(burst).max() * amp)
-                        )
-                    )
+                    annotations.append(PulseAnnotation(pos + start, n_ref, Emitter.LTE))
             out[pos : pos + n_fit] = amp * sym
         pos += n_fit
     return SampleStream(samples=out, sample_rate_hz=fs_hz, annotations=tuple(annotations))

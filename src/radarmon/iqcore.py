@@ -1,8 +1,14 @@
-"""Complex-baseband sample containers, chunking, and IQ file I/O.
+"""Complex-baseband sample containers, ground truth, and IQ file I/O.
 
-The on-disk payload format is interleaved little-endian 32-bit floats
+A stream's ground truth is a list of annotation spans, (start, length,
+emitter); a chunk's is its radar mask.  This module owns the mapping both
+ways: ``as_chunk`` turns one chunk's worth of stream into a chunk whose
+mask is the union of the radar spans, and ``as_stream`` turns a chunk
+back into a stream whose radar spans are the runs of that mask.
+
+The on-disk payload is little-endian complex64, i.e. interleaved float32
 (re, im, re, im, ...).  A JSON sidecar at ``<path>.json`` carries the
-sample rate and annotation list.  All container types are immutable
+sample rate and the annotation spans.  All container types are immutable
 after construction and safe to share across threads.
 """
 
@@ -34,15 +40,12 @@ class PulseAnnotation:
     start_idx: int
     length: int
     emitter: Emitter
-    peak_amplitude: float
 
     def __post_init__(self):
         if self.start_idx < 0:
             raise ValueError("annotation start_idx must be >= 0")
         if self.length < 1:
             raise ValueError("annotation length must be >= 1")
-        if not np.isfinite(self.peak_amplitude):
-            raise ValueError("annotation peak_amplitude must be finite")
 
     @property
     def end_idx(self) -> int:
@@ -142,24 +145,19 @@ def make_chunk(samples: np.ndarray, mask: np.ndarray, provenance: str = "") -> I
     return IqChunk(samples=samples, label=label, provenance=provenance, radar_mask=mask)
 
 
-def chunk_stream(stream: SampleStream, provenance: str = "") -> list[IqChunk]:
-    """Partition a stream into consecutive ``CHUNK_LEN`` chunks; the trailing remainder is dropped.
+def as_chunk(stream: SampleStream, provenance: str = "") -> IqChunk:
+    """A ``CHUNK_LEN``-sample stream as a chunk; its mask is the union of the radar spans."""
+    if len(stream) != CHUNK_LEN:
+        raise ValueError(f"a chunk holds {CHUNK_LEN} samples, the stream has {len(stream)}")
+    return make_chunk(stream.samples, radar_mask(stream.annotations, CHUNK_LEN), provenance)
 
-    Each chunk's label and radar mask are derived from the stream annotations
-    restricted to the chunk's index window.
-    """
-    n = len(stream)
-    if n < CHUNK_LEN:
-        raise ValueError(f"insufficient samples: stream has {n}, need {CHUNK_LEN}")
-    n_chunks = n // CHUNK_LEN
-    full_mask = radar_mask(stream.annotations, n_chunks * CHUNK_LEN)
-    chunks = []
-    for i in range(n_chunks):
-        lo = i * CHUNK_LEN
-        chunks.append(
-            make_chunk(stream.samples[lo : lo + CHUNK_LEN], full_mask[lo : lo + CHUNK_LEN], provenance)
-        )
-    return chunks
+
+def as_stream(chunk: IqChunk, sample_rate_hz: float) -> SampleStream:
+    """A chunk as a stream whose radar spans are the runs of its mask; the inverse of ``as_chunk``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], chunk.radar_mask, [False]))))
+    spans = tuple(PulseAnnotation(int(lo), int(hi - lo), Emitter.RADAR)
+                  for lo, hi in zip(edges[0::2], edges[1::2]))
+    return SampleStream(chunk.samples, sample_rate_hz, spans)
 
 
 def stream_window(stream: SampleStream, start: int, length: int) -> SampleStream:
@@ -171,9 +169,7 @@ def stream_window(stream: SampleStream, start: int, length: int) -> SampleStream
         lo = max(ann.start_idx, start)
         hi = min(ann.end_idx, start + length)
         if hi > lo:
-            anns.append(
-                PulseAnnotation(lo - start, hi - lo, ann.emitter, ann.peak_amplitude)
-            )
+            anns.append(PulseAnnotation(lo - start, hi - lo, ann.emitter))
     return SampleStream(
         samples=stream.samples[start : start + length].copy(),
         sample_rate_hz=stream.sample_rate_hz,
@@ -194,21 +190,13 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def write_iq_file(stream: SampleStream, path) -> None:
-    """Write interleaved float32 payload plus JSON metadata sidecar."""
+    """Write the complex64 payload plus the JSON sidecar of sample rate and spans."""
     path = Path(path)
-    interleaved = np.empty(2 * len(stream), dtype="<f4")
-    interleaved[0::2] = stream.samples.real.astype(np.float32)
-    interleaved[1::2] = stream.samples.imag.astype(np.float32)
-    interleaved.tofile(path)
+    stream.samples.astype("<c8").tofile(path)
     meta = {
         "sample_rate_hz": stream.sample_rate_hz,
         "annotations": [
-            {
-                "start_idx": ann.start_idx,
-                "len": ann.length,
-                "emitter": ann.emitter.value,
-                "peak_amplitude": ann.peak_amplitude,
-            }
+            {"start_idx": ann.start_idx, "len": ann.length, "emitter": ann.emitter.value}
             for ann in stream.annotations
         ],
     }
@@ -218,7 +206,11 @@ def write_iq_file(stream: SampleStream, path) -> None:
 
 
 def read_iq_file(path) -> SampleStream:
-    """Read a payload + sidecar pair written by :func:`write_iq_file`."""
+    """Read a payload + sidecar pair written by :func:`write_iq_file`.
+
+    Sidecar keys other than the span fields (such as the ``peak_amplitude``
+    that older sidecars carry) are ignored.
+    """
     path = Path(path)
     raw = np.fromfile(path, dtype="<f4")
     sidecar = _sidecar_path(path)
@@ -226,16 +218,11 @@ def read_iq_file(path) -> SampleStream:
         raise MissingSidecarError(f"missing sidecar {sidecar}")
     if raw.size % 2 != 0:
         raise ValueError(f"truncated payload {path}: odd float count {raw.size}")
-    samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    samples = raw.view("<c8")
     with open(sidecar) as fh:
         meta = json.load(fh)
     annotations = tuple(
-        PulseAnnotation(
-            start_idx=entry["start_idx"],
-            length=entry["len"],
-            emitter=Emitter(entry["emitter"]),
-            peak_amplitude=entry["peak_amplitude"],
-        )
+        PulseAnnotation(entry["start_idx"], entry["len"], Emitter(entry["emitter"]))
         for entry in meta["annotations"]
     )
     return SampleStream(

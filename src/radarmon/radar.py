@@ -122,7 +122,7 @@ def synth_pulse_train(
             amp *= 1.0 + rng.uniform(-jit.amplitude_frac, jit.amplitude_frac)
         n_fit = min(n_pulse, n_total - toa)
         out[toa : toa + n_fit] += amp * pulse[:n_fit]
-        annotations.append(PulseAnnotation(toa, n_fit, Emitter.RADAR, amp))
+        annotations.append(PulseAnnotation(toa, n_fit, Emitter.RADAR))
         m += 1
     if params.carrier_offset_hz:
         if abs(params.carrier_offset_hz) >= fs_hz / 2:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radarmon.channel import apply_multipath, mix
-from radarmon.iqcore import Emitter, PulseAnnotation, SampleStream, chunk_stream
+from radarmon.iqcore import Emitter, PulseAnnotation, SampleStream, as_chunk
 from radarmon.radar import Jitter, Pc, RadarParams, synth_pulse_train
 
 FS = 20e6
@@ -67,22 +67,22 @@ class TestMix:
         assert np.mean(np.abs(out.samples) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_radar_labels_survive_wlan_overlap(self):
-        radar_ann = (PulseAnnotation(100, 40, Emitter.RADAR, 1.0),)
-        wlan_ann = (PulseAnnotation(0, 2048, Emitter.WLAN, 1.0),)
+        radar_ann = (PulseAnnotation(100, 40, Emitter.RADAR),)
+        wlan_ann = (PulseAnnotation(0, 1024, Emitter.WLAN),)
         rng = np.random.default_rng(9)
-        radar = SampleStream(np.ones(2048, dtype=complex), FS, radar_ann)
-        wlan = random_stream(rng, 2048, wlan_ann)
+        radar = SampleStream(np.ones(1024, dtype=complex), FS, radar_ann)
+        wlan = random_stream(rng, 1024, wlan_ann)
         mixed = mix([radar, wlan], noise_power=0.1, seed=1)
-        (chunk,) = chunk_stream(mixed)[:1]
+        chunk = as_chunk(mixed)
         assert chunk.label == 0
         assert chunk.radar_mask[100:140].all()
         assert int(chunk.radar_mask.sum()) == 40
 
     def test_annotation_union(self):
         a = SampleStream(np.zeros(512, dtype=complex), FS,
-                         (PulseAnnotation(0, 10, Emitter.RADAR, 1.0),))
+                         (PulseAnnotation(0, 10, Emitter.RADAR),))
         b = SampleStream(np.zeros(512, dtype=complex), FS,
-                         (PulseAnnotation(5, 10, Emitter.LTE, 2.0),))
+                         (PulseAnnotation(5, 10, Emitter.LTE),))
         out = mix([a, b], noise_power=0.0, seed=0)
         assert len(out.annotations) == 2
         assert {ann.emitter for ann in out.annotations} == {Emitter.RADAR, Emitter.LTE}

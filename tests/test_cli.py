@@ -183,6 +183,14 @@ BAD_CONFIGS = [
           ({"waveforms": ["pc2"], "min_visible_samples": 100}, "", "min_visible_samples=100 pc2"),
           ({"waveforms": ["pc2"], "min_visible_samples": 41, "multipath_mag_range": [0, 0]}, "",
            "min_visible_samples=41 pc2 no multipath")]),
+    # a delay of a chunk or more failed in synthesis, or put the echo outside the chunk it marks
+    *(bad_config("dataset", {"scenario": {"multipath_delay_range": delays}},
+                 "multipath_delay_range must stay below the chunk length, 1024 samples",
+                 id=f"multipath_delay_range={delays}")
+      for delays in ([30000, 30000], [1024, 1024])),
+    # the 8192-sample secondary-user span must outlast WLAN's 100 us minimum burst
+    bad_config("dataset", {"scenario": {"sample_rate_hz": 100e6}}, "sample_rate_hz must be below 8.192e+07 Hz",
+               id="sample_rate_hz=100e6"),
     bad_config("eval", {"threshold": 5.0}, "threshold must be within [0, 1]", id="threshold=5.0"),
     bad_config("eval", {"threshold": -1.0}, "threshold must be within [0, 1]", id="threshold=-1.0"),
 ]
@@ -199,6 +207,17 @@ def test_bad_config_exits_1_before_any_work(tmp_path, capsys, command, doc, key)
     assert cli.main(argv) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", [
+    {"multipath_delay_range": [1023, 1023], "multipath_mag_range": [0.2, 0.5], "waveforms": ["pc2"]},
+    {"sample_rate_hz": 81.9e6},
+], ids=["multipath_delay_range=[1023, 1023]", "sample_rate_hz=81.9e6"])
+def test_scenario_at_its_bound_builds(tmp_path, scenario):
+    config = write_config(tmp_path / "dataset.json",
+                          {"scenario": {"train_per_class": 3, "test_per_class": 1, **scenario}})
+    assert cli.main(["dataset", "--config", config, "--out", str(tmp_path / "data")]) == 0
+    assert len(list((tmp_path / "data" / "chunks").glob("*.iq"))) == 8
 
 
 def test_noise_free_psnr_target_is_accepted():

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from radarmon import dataset as ds
-from radarmon.iqcore import make_chunk
+from radarmon.iqcore import SampleStream, as_chunk, as_stream, make_chunk, write_iq_file
 from radarmon.radar import Pc, synth_pulse
 
 FS = 20e6
@@ -96,6 +97,12 @@ class TestScenarioGeneration:
         with pytest.raises(ValueError, match="psnr_range_db"):
             small_config(psnr_range_db=(20.0, 10.0))
 
+    def test_min_visible_bounded_by_the_chunk_for_a_long_pulse(self):
+        long_pulse = ds.WaveformSpec("pc100", Pc(), 100e-6)  # 2000 samples at 20 MHz
+        assert small_config(waveforms=(long_pulse,), min_visible_samples=1024).min_visible_samples == 1024
+        with pytest.raises(ValueError, match="the chunk: 1024 samples"):
+            small_config(waveforms=(long_pulse,), min_visible_samples=1025)
+
 
 class TestBuildDataset(object):
     def test_manifests_and_files(self, tmp_path):
@@ -122,11 +129,30 @@ class TestBuildDataset(object):
     def test_chunk_stream_round_trip_preserves_mask(self, tmp_path):
         cfg = small_config(seed=33)
         chunk, _ = ds.synth_entry_chunk(cfg, "train", 0, 0)
-        stream = ds.chunk_to_stream(chunk, cfg.sample_rate_hz)
-        from radarmon.iqcore import radar_mask
-        np.testing.assert_array_equal(
-            radar_mask(stream.annotations, 1024), chunk.radar_mask
-        )
+        back = as_chunk(as_stream(chunk, cfg.sample_rate_hz), chunk.provenance)
+        np.testing.assert_array_equal(back.radar_mask, chunk.radar_mask)
+        np.testing.assert_array_equal(back.samples, chunk.samples)
+        assert back.label == chunk.label == 0
+
+    def test_sidecar_holds_only_rate_and_spans(self, tmp_path):
+        cfg = small_config(train_per_class=2, test_per_class=1, seed=34)
+        built = ds.build_dataset(cfg, tmp_path)
+        radar_spans = 0
+        for entry in built.train.entries:
+            meta = json.loads((tmp_path / (entry.path + ".json")).read_text())
+            assert set(meta) == {"sample_rate_hz", "annotations"}
+            assert meta["sample_rate_hz"] == cfg.sample_rate_hz
+            for ann in meta["annotations"]:
+                assert set(ann) == {"start_idx", "len", "emitter"} and ann["emitter"] == "Radar"
+            radar_spans += len(meta["annotations"])
+        assert radar_spans >= 2
+
+    @pytest.mark.parametrize("n", [1000, 1025])
+    def test_load_chunk_names_a_payload_that_is_not_one_chunk(self, tmp_path, n):
+        write_iq_file(SampleStream(np.ones(n, dtype=complex)), tmp_path / "odd.iq")
+        entry = ds.ManifestEntry("odd.iq", 1, "noise")
+        with pytest.raises(ValueError, match=rf"odd\.iq holds {n} samples, not one 1024-sample chunk"):
+            ds.load_chunk(tmp_path, entry)
 
 
 class TestEstimatePsnr:

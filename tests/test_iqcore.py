@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from radarmon.iqcore import (
     IqChunk,
     PulseAnnotation,
     SampleStream,
-    chunk_stream,
+    as_chunk,
+    as_stream,
     make_chunk,
     radar_mask,
     read_iq_file,
@@ -24,23 +26,13 @@ def f32_random_stream(rng, n, annotations=()):
 
 
 class TestChunkStream:
-    def test_exact_division(self):
-        stream = SampleStream(np.ones(4096, dtype=complex))
-        chunks = chunk_stream(stream)
-        assert len(chunks) == 4
-        assert all(len(c) == 1024 for c in chunks)
-
-    def test_floor_rule_drops_remainder(self):
-        stream = SampleStream(np.arange(1500) + 0j)
-        chunks = chunk_stream(stream)
-        assert len(chunks) == 1
-        np.testing.assert_array_equal(chunks[0].samples.real, np.arange(1024))
+    """A stream of exactly one chunk's length becomes a chunk, and back."""
 
     def test_mask_intersection_across_boundary(self):
-        # pulse at indices 1000..1100 inclusive
-        ann = PulseAnnotation(1000, 101, Emitter.RADAR, 1.0)
+        # pulse at indices 1000..1100 inclusive, windowed into two chunks
+        ann = PulseAnnotation(1000, 101, Emitter.RADAR)
         stream = SampleStream(np.ones(2048, dtype=complex), 20e6, (ann,))
-        c0, c1 = chunk_stream(stream)
+        c0, c1 = (as_chunk(stream_window(stream, lo, 1024)) for lo in (0, 1024))
         assert c0.label == 0 and c1.label == 0
         expect0 = np.zeros(1024, bool)
         expect0[1000:1024] = True
@@ -51,20 +43,28 @@ class TestChunkStream:
 
     def test_insufficient_samples(self):
         stream = SampleStream(np.ones(100, dtype=complex))
-        with pytest.raises(ValueError, match="insufficient samples"):
-            chunk_stream(stream)
+        with pytest.raises(ValueError, match="a chunk holds 1024 samples, the stream has 100"):
+            as_chunk(stream)
 
-    def test_concatenation_reproduces_prefix(self):
-        rng = np.random.default_rng(0)
-        stream = f32_random_stream(rng, 5000)
-        chunks = chunk_stream(stream)
-        rebuilt = np.concatenate([c.samples for c in chunks])
-        np.testing.assert_array_equal(rebuilt, stream.samples[: 4 * 1024])
+    def test_rejects_a_stream_longer_than_one_chunk(self):
+        stream = SampleStream(np.ones(1025, dtype=complex))
+        with pytest.raises(ValueError, match="the stream has 1025"):
+            as_chunk(stream)
+
+    def test_as_stream_spans_are_the_mask_runs(self):
+        mask = np.zeros(1024, bool)
+        mask[:3] = mask[500:520] = mask[1020:] = True
+        stream = as_stream(make_chunk(np.ones(1024, dtype=complex), mask), 40e6)
+        assert stream.sample_rate_hz == 40e6
+        assert stream.annotations == (PulseAnnotation(0, 3, Emitter.RADAR),
+                                      PulseAnnotation(500, 20, Emitter.RADAR),
+                                      PulseAnnotation(1020, 4, Emitter.RADAR))
+        np.testing.assert_array_equal(as_chunk(stream).radar_mask, mask)
 
     def test_label_never_contradicts_mask(self):
         rng = np.random.default_rng(1)
         for trial in range(20):
-            n = int(rng.integers(1024, 4096))
+            n = 1024 * int(rng.integers(1, 4))
             anns = []
             pos = 0
             while True:
@@ -72,10 +72,11 @@ class TestChunkStream:
                 length = int(rng.integers(1, 120))
                 if pos + length > n:
                     break
-                anns.append(PulseAnnotation(pos, length, Emitter.RADAR, 1.0))
+                anns.append(PulseAnnotation(pos, length, Emitter.RADAR))
                 pos += length
             stream = SampleStream(np.ones(n, dtype=complex), 20e6, tuple(anns))
-            for chunk in chunk_stream(stream):
+            for lo in range(0, n, 1024):
+                chunk = as_chunk(stream_window(stream, lo, 1024))
                 assert (chunk.label == 0) == chunk.radar_mask.any()
 
     def test_chunk_rejects_contradictory_label(self):
@@ -86,8 +87,8 @@ class TestChunkStream:
 class TestFileRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        ann = (PulseAnnotation(10, 40, Emitter.RADAR, 0.75),
-               PulseAnnotation(200, 30, Emitter.WLAN, 2.5))
+        ann = (PulseAnnotation(10, 40, Emitter.RADAR),
+               PulseAnnotation(200, 30, Emitter.WLAN))
         stream = f32_random_stream(rng, 1024, ann)
         path = tmp_path / "x.iq"
         write_iq_file(stream, path)
@@ -99,6 +100,15 @@ class TestFileRoundTrip:
         write_iq_file(back, tmp_path / "y.iq")
         assert (tmp_path / "x.iq").read_bytes() == (tmp_path / "y.iq").read_bytes()
         assert (tmp_path / "x.iq.json").read_bytes() == (tmp_path / "y.iq.json").read_bytes()
+
+    def test_sidecar_with_peak_amplitude_still_loads(self, tmp_path):
+        path = tmp_path / "old.iq"
+        np.zeros(2 * 64, dtype="<f4").tofile(path)
+        (tmp_path / "old.iq.json").write_text(json.dumps({
+            "sample_rate_hz": 20e6,
+            "annotations": [{"emitter": "Radar", "len": 8, "peak_amplitude": 0.5, "start_idx": 4}],
+        }))
+        assert read_iq_file(path).annotations == (PulseAnnotation(4, 8, Emitter.RADAR),)
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.iq"
@@ -158,32 +168,32 @@ class TestStreamInvariants:
             SampleStream(np.array([1.0, np.nan], dtype=complex))
 
     def test_rejects_unsorted_annotations(self):
-        anns = (PulseAnnotation(100, 5, Emitter.RADAR, 1.0),
-                PulseAnnotation(10, 5, Emitter.RADAR, 1.0))
+        anns = (PulseAnnotation(100, 5, Emitter.RADAR),
+                PulseAnnotation(10, 5, Emitter.RADAR))
         with pytest.raises(ValueError, match="sorted"):
             SampleStream(np.ones(200, dtype=complex), 20e6, anns)
 
     def test_rejects_overlap_same_emitter(self):
-        anns = (PulseAnnotation(10, 20, Emitter.RADAR, 1.0),
-                PulseAnnotation(15, 20, Emitter.RADAR, 1.0))
+        anns = (PulseAnnotation(10, 20, Emitter.RADAR),
+                PulseAnnotation(15, 20, Emitter.RADAR))
         with pytest.raises(ValueError, match="overlapping"):
             SampleStream(np.ones(200, dtype=complex), 20e6, anns)
 
     def test_allows_overlap_across_emitters(self):
-        anns = (PulseAnnotation(10, 20, Emitter.RADAR, 1.0),
-                PulseAnnotation(15, 20, Emitter.WLAN, 1.0))
+        anns = (PulseAnnotation(10, 20, Emitter.RADAR),
+                PulseAnnotation(15, 20, Emitter.WLAN))
         stream = SampleStream(np.ones(200, dtype=complex), 20e6, anns)
         assert len(stream.annotations) == 2
 
     def test_stream_window_rebases_annotations(self):
-        anns = (PulseAnnotation(100, 50, Emitter.RADAR, 1.0),)
+        anns = (PulseAnnotation(100, 50, Emitter.RADAR),)
         stream = SampleStream(np.arange(400) + 0j, 20e6, anns)
         window = stream_window(stream, 120, 100)
-        assert window.annotations == (PulseAnnotation(0, 30, Emitter.RADAR, 1.0),)
+        assert window.annotations == (PulseAnnotation(0, 30, Emitter.RADAR),)
         np.testing.assert_array_equal(window.samples.real, np.arange(120, 220))
 
     def test_radar_mask_ignores_other_emitters(self):
-        anns = (PulseAnnotation(0, 10, Emitter.WLAN, 1.0),
-                PulseAnnotation(20, 10, Emitter.RADAR, 1.0))
+        anns = (PulseAnnotation(0, 10, Emitter.WLAN),
+                PulseAnnotation(20, 10, Emitter.RADAR))
         mask = radar_mask(anns, 40)
         assert not mask[:20].any() and mask[20:30].all() and not mask[30:].any()

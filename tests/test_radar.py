@@ -73,7 +73,6 @@ class TestSynthPulseTrain:
         for m, ann in enumerate(stream.annotations):
             assert ann.start_idx == m * 20000
             assert ann.length == 40
-            assert ann.peak_amplitude == 1.0
             np.testing.assert_array_equal(
                 stream.samples[ann.start_idx : ann.end_idx], np.ones(40, dtype=complex)
             )
@@ -95,7 +94,7 @@ class TestSynthPulseTrain:
     def test_amplitude_scales_every_pulse(self):
         params = no_jitter_params(Pc(), 2e-6, amplitude=0.25)
         stream = synth_pulse_train(params, 3e-3, FS, seed=0)
-        assert [a.peak_amplitude for a in stream.annotations] == [0.25] * 3
+        assert len(stream.annotations) == 3
         for ann in stream.annotations:
             np.testing.assert_array_equal(stream.samples[ann.start_idx : ann.end_idx], 0.25)
 
@@ -106,12 +105,13 @@ class TestSynthPulseTrain:
             total = sum(a.length for a in stream.annotations)
             assert total == len(stream.annotations) * round(pw * FS)
 
-    def test_magnitude_bounded_by_annotation_peak(self):
+    def test_pulse_magnitude_is_constant_within_amplitude_jitter(self):
         params = RadarParams(ipm=Lfm(4e6), pw_s=10e-6, pri_s=1e-3, carrier_offset_hz=-6e6)
         stream = synth_pulse_train(params, 5e-3, FS, seed=9)
         for ann in stream.annotations:
             seg = np.abs(stream.samples[ann.start_idx : ann.end_idx])
-            assert np.all(seg <= ann.peak_amplitude + 1e-12)
+            np.testing.assert_allclose(seg, seg[0], rtol=1e-12)
+            assert abs(seg[0] - 1.0) <= 0.01
 
     def test_jitter_bounds_and_determinism(self):
         params = RadarParams(ipm=Pc(), pw_s=2e-6, pri_s=1e-3,
@@ -122,7 +122,7 @@ class TestSynthPulseTrain:
         assert a.annotations == b.annotations
         for m, ann in enumerate(a.annotations):
             assert abs(ann.start_idx - m * 20000) <= 2
-            assert abs(ann.peak_amplitude - 1.0) <= 0.01
+            assert np.all(np.abs(np.abs(a.samples[ann.start_idx : ann.end_idx]) - 1.0) <= 0.01)
 
     def test_duration_must_cover_one_pri(self):
         params = no_jitter_params(Pc(), 2e-6)
