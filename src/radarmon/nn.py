@@ -14,6 +14,17 @@ full-resolution activation is written, and the result equals the
 layer-by-layer forward bit for bit.  The classifier head is a two-way
 softmax trained with cross-entropy under SGD with momentum and weight decay.
 
+A "same"-padded conv whose batch repeats every row exactly in aligned
+groups of some r > 1, as the AP tensor's rows repeat in fours, runs on the
+batch's every r-th row alone: its kernel is expanded to one block of output
+channels per output row phase, each block summing the kernel rows that
+read one source row (the sub-pixel convolution identity of Shi et al.,
+arXiv 1609.05158), and its weight gradient folds back through the same 0/1
+map.  The path is chosen per batch from the rows themselves, compared with
+``np.array_equal``; a batch whose first sample differs between rows 0 and
+1 pays that one comparison and takes the general path unchanged.  Results equal the general
+path's up to rounding, and the guarantees below hold on both paths.
+
 The per-sample passes of the conv, ReLU and pool layers run on contiguous
 ranges of samples, one range per worker thread, so the engine uses the CPUs
 that BLAS leaves idle: there are ``cpus // blas_threads`` workers, where the
@@ -69,7 +80,7 @@ _MAGIC = b"RMONCNN1"
 _VERSION = 1
 
 
-_TILE_BYTES = 2**21  # about one L2: the im2col matrix of one tile of samples
+_TILE_BYTES = 2**21  # about one L2: the im2col matrix, or the GEMM product if larger, of one tile of samples
 # Below this a range is not worth a thread: numpy keeps the interpreter lock
 # on small arrays, so two threads would mostly wait for each other.
 _MIN_RANGE_BYTES = 2**20
@@ -149,35 +160,40 @@ def _run(fn, ranges) -> None:
         f.result()
 
 
-def _pad_nhwc(x: np.ndarray, pad: int) -> np.ndarray:
-    """NCHW batch -> zero-padded NHWC copy."""
+def _pad_nhwc(x: np.ndarray, pad: int, row_pad: int | None = None) -> np.ndarray:
+    """NCHW batch -> NHWC copy with ``pad`` zero columns and ``row_pad`` (default ``pad``) zero rows each side."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    rp = pad if row_pad is None else row_pad
+    xp = np.zeros((n, h + 2 * rp, w + 2 * pad, c), dtype=x.dtype)
 
     def work(_, lo, hi):
-        xp[lo:hi, pad : pad + h, pad : pad + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
+        xp[lo:hi, rp : rp + h, pad : pad + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
 
     _run(work, _split(n, xp[:1].nbytes))
     return xp
 
 
-def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1
+def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1, kh: int | None = None
                   ) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
     """Worker ranges of whole tiles over padded NHWC ``xp``, and one im2col tile buffer per range.
 
-    A tile holds as many whole samples as fit in ``_TILE_BYTES`` (at least
-    one); the ranges count the work of a GEMM with ``out_ch`` outputs.  Each
+    The kernel is ``kh`` x ``k``, square unless ``kh`` is given.  A tile
+    holds as many whole samples (at least one) as keep both its im2col
+    matrix and its GEMM product, of ``out_ch`` columns, within
+    ``_TILE_BYTES``; the ranges count that GEMM's work.  Each
     sample's output rows come in ``phases`` row phases: with two, its even
     rows, then its odd ones.  A one-channel input is gathered tap-major,
-    (kh, kw, phase, row, wo) per sample; otherwise (phase, row, wo, kh, kw,
-    channels).
+    (kh, kw, phase, row, wo) per sample, unless ``kh`` is given; every
+    other gather is channels-last, (phase, row, wo, kh, kw, channels).
     """
     n, hp, wp, c = xp.shape
-    ho, wo = hp - k + 1, wp - k + 1
+    tap_major = c == 1 and kh is None
+    kh = k if kh is None else kh
+    ho, wo = hp - kh + 1, wp - k + 1
     rows = (phases, ho // phases, wo)
-    sample = (k, k, *rows) if c == 1 else (*rows, k, k, c)
-    t = max(1, min(n, _TILE_BYTES // (math.prod(sample) * xp.itemsize)))
-    ranges = _split(n, 2 * ho * wo * k * k * c * out_ch // _FLOPS_PER_BYTE, t)
+    sample = (k, k, *rows) if tap_major else (*rows, kh, k, c)
+    t = max(1, min(n, _TILE_BYTES // (max(math.prod(sample), ho * wo * out_ch) * xp.itemsize)))
+    ranges = _split(n, 2 * ho * wo * kh * k * c * out_ch // _FLOPS_PER_BYTE, t)
     return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
 
 
@@ -185,13 +201,14 @@ def _im2col_tiles(xp: np.ndarray, k: int, lo: int, hi: int, buf: np.ndarray):
     """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded NHWC ``xp``.
 
     Samples lo..hi-1 are gathered ``len(buf)`` at a time into ``buf``, which
-    the next tile overwrites; its shape sets the row phases.  A one-channel
-    input's cols is (samples, kh*kw, pixels), gathered in runs of a whole
-    output row; otherwise cols is (samples*pixels, kh*kw*channels),
-    gathered in runs of kw*channels.
+    the next tile overwrites; its shape, from ``_tile_buffers``, sets the
+    row phases, the kernel rows and the layout.  A tap-major cols is
+    (samples, kh*kw, pixels), gathered in runs of a whole output row; a
+    channels-last one is (samples*pixels, kh*kw*channels), gathered in runs
+    of kw*channels.
     """
     s0, s1, s2, s3 = xp.strides
-    tap_major = xp.shape[3] == 1
+    tap_major = buf.ndim == 6  # (t, kh, kw, phase, row, wo); channels-last has a channel axis more
     rows = buf.shape[3:] if tap_major else buf.shape[1:4]
     row_strides = (s1, rows[0] * s1, s2)  # phase p starts p rows down and steps `phases` rows
     strides = (s0, s1, s2, *row_strides) if tap_major else (s0, *row_strides, s1, s2, s3)
@@ -285,6 +302,157 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
     return out
 
 
+def _row_repeat(x: np.ndarray) -> int:
+    """The largest r dividing the height of NCHW ``x`` such that each row of the batch equals the others of its aligned group of r.
+
+    Rows are compared with ``np.array_equal``.  A batch whose first sample
+    differs between rows 0 and 1 costs that one comparison; otherwise every
+    row of the batch is compared with the one above it.
+    """
+    h = x.shape[2]
+    if h < 2 or not np.array_equal(x[0, :, 0], x[0, :, 1]):
+        return 1
+    starts = np.flatnonzero(np.any(x[:, :, 1:] != x[:, :, :-1], axis=(0, 1, 3))) + 1
+    return math.gcd(h, *starts.tolist())  # r divides h and every row where the batch changes
+
+
+def _phase_map(k: int, pad: int, r: int) -> np.ndarray:
+    """The (r, k, 2*ceil(pad/r) + 1) 0/1 map from (output row phase, kernel row) to source row offset.
+
+    In a "same" convolution (``2 * pad == k - 1``) of a batch whose rows
+    repeat in aligned groups of r, output row r*Y + p reads, through kernel
+    row i, input row r*Y + p + i - pad.  That is row Y + d - ceil(pad/r) of
+    the source, the batch's every r-th row, with d = (p + i - pad) // r +
+    ceil(pad/r); zero padding maps to zero padding.
+    """
+    q = -(-pad // r)
+    pmap = np.zeros((r, k, 2 * q + 1))
+    p, i = np.ogrid[:r, :k]
+    pmap[p, i, (p + i - pad) // r + q] = 1.0
+    return pmap
+
+
+def _tile_sum(parts: np.ndarray) -> np.ndarray:
+    """The sum of per-tile weight-gradient partials, in tile order whatever the worker count."""
+    total = np.zeros(parts.shape[1:], dtype=parts.dtype)
+    for part in parts:
+        total += part
+    return total
+
+
+def _conv_grad(xp: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
+    """The (out, in, k, k) weight gradient of ``_conv`` of padded NHWC ``xp``, given output gradient ``dout``."""
+    n, out_ch, ho, wo = dout.shape
+    in_ch = xp.shape[3]
+    ranges, bufs = _tile_buffers(xp, k, out_ch)
+    t = len(bufs[0])
+    if in_ch == 1:
+        d = dout.reshape(n, out_ch, -1)
+        parts = np.empty((-(-n // t), out_ch, k * k), dtype=dout.dtype)
+        prods = [np.empty((t, out_ch, k * k), dtype=dout.dtype) for _ in ranges]
+
+        def work(i, lo, hi):
+            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+                np.matmul(d[a:z], cols.transpose(0, 2, 1), out=prods[i][: z - a])
+                np.sum(prods[i][: z - a], axis=0, out=parts[a // t])
+
+    else:
+        parts = np.empty((-(-n // t), k * k * in_ch, out_ch), dtype=dout.dtype)
+        douts = [np.empty((t, ho, wo, out_ch), dtype=dout.dtype) for _ in ranges]
+
+        def work(i, lo, hi):
+            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+                d = douts[i][: z - a]
+                np.copyto(d, dout[a:z].transpose(0, 2, 3, 1))
+                np.matmul(cols.T, d.reshape(-1, out_ch), out=parts[a // t])
+
+    _run(work, ranges)
+    del bufs
+    dw = _tile_sum(parts)
+    if in_ch != 1:
+        dw = dw.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
+    return np.ascontiguousarray(dw).reshape(out_ch, in_ch, k, k)
+
+
+def _conv_rows(xs: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, r: int, pool_relu: bool = False) -> np.ndarray:
+    """``_conv`` of a batch whose rows repeat in aligned groups of ``r``, from its padded source rows.
+
+    ``xs`` is the batch's every r-th row as NHWC, padded by ``pad`` zero
+    columns and ceil(pad/r) zero rows each side; ``w`` is a "same" kernel
+    and ``b`` its bias.  The source rows are convolved with the kernel
+    expanded by ``_phase_map``: r * out GEMM rows, one block per output row
+    phase, each holding the sum of the kernel rows that read one source
+    row.  The product is (phase, out, pixel), so its scatter into the
+    output copies whole output rows.  With ``pool_relu`` each tile's rows
+    go into a tile buffer that is pooled, biased and rectified as in
+    ``_conv``.  The result equals ``_conv`` of the whole padded batch up to
+    rounding, and with ``pool_relu`` equals this function without it,
+    rectified and pooled, bit for bit.
+    """
+    out_ch, in_ch, k, _ = w.shape
+    pmap = _phase_map(k, pad, r)
+    kh = pmap.shape[2]
+    n, hsp, wp, _ = xs.shape
+    hs, wo = hsp - kh + 1, wp - k + 1
+    full = (n, out_ch, hs * r, wo)
+    out = np.empty(_pooled_shape(full) if pool_relu else full, dtype=xs.dtype)
+    bias = b.astype(xs.dtype)[:, None, None]
+    # (phase, out, kh, kw, in): each phase's kernel rows summed per source row offset
+    w2 = np.tensordot(pmap, w, ([1], [2])).transpose(0, 2, 1, 4, 3).reshape(r * out_ch, -1).astype(xs.dtype)
+    ranges, bufs = _tile_buffers(xs, k, r * out_ch, kh=kh)
+    prods = [np.empty(len(buf) * r * out_ch * hs * wo, dtype=xs.dtype) for buf in bufs]
+    fulls = [np.empty((len(buf), *full[1:]), dtype=xs.dtype) for buf in bufs] if pool_relu else None
+    halves = [np.empty((len(buf), out_ch, hs * r // 2, wo), dtype=xs.dtype) for buf in bufs] if pool_relu else None
+
+    def work(i, lo, hi):
+        for a, z, cols in _im2col_tiles(xs, k, lo, hi, bufs[i]):
+            m, y = z - a, out[a:z]
+            prod = prods[i][: r * out_ch * m * hs * wo].reshape(r * out_ch, -1)
+            np.matmul(w2, cols.T, out=prod)
+            rows = prod.reshape(r, out_ch, m, hs, wo).transpose(2, 1, 3, 0, 4)  # output row r*Y + phase
+            if pool_relu:
+                f, half = fulls[i][:m], halves[i][:m]
+                np.copyto(f.reshape(m, out_ch, hs, r, wo), rows)
+                pairs = half.reshape(m, out_ch, -1, wo // 2, 2).transpose(4, 0, 1, 2, 3)
+                _pool_relu_tile(f.reshape(m, out_ch, -1, 2, wo).transpose(0, 1, 3, 2, 4), half, pairs, bias, y)
+            else:
+                np.copyto(y.reshape(m, out_ch, hs, r, wo), rows)
+                y += bias  # after the scatter: a broadcast bias would slow its copy 1.5x
+
+    _run(work, ranges)
+    return out
+
+
+def _conv_rows_grad(xs: np.ndarray, dout: np.ndarray, k: int, pad: int, r: int) -> np.ndarray:
+    """The (out, in, k, k) weight gradient of ``_conv_rows`` of ``xs``, given output gradient ``dout``.
+
+    Each tile's output rows are gathered by phase into (phase, out, pixel)
+    for one GEMM with the tile's source im2col matrix; the summed phase
+    kernels fold back through the same 0/1 map that expanded them.
+    """
+    n, out_ch, ho, wo = dout.shape
+    in_ch, hs = xs.shape[3], ho // r
+    pmap = _phase_map(k, pad, r)
+    kh = pmap.shape[2]
+    ranges, bufs = _tile_buffers(xs, k, r * out_ch, kh=kh)
+    t = len(bufs[0])
+    parts = np.empty((-(-n // t), r * out_ch, kh * k * in_ch), dtype=dout.dtype)
+    douts = [np.empty(t * r * out_ch * hs * wo, dtype=dout.dtype) for _ in ranges]
+
+    def work(i, lo, hi):
+        for a, z, cols in _im2col_tiles(xs, k, lo, hi, bufs[i]):
+            m = z - a
+            d = douts[i][: r * out_ch * m * hs * wo].reshape(r, out_ch, m, hs, wo)
+            np.copyto(d, dout[a:z].reshape(m, out_ch, hs, r, wo).transpose(3, 1, 0, 2, 4))
+            np.matmul(d.reshape(r * out_ch, -1), cols, out=parts[a // t])
+
+    _run(work, ranges)
+    del bufs
+    dw = _tile_sum(parts).reshape(r, out_ch, kh, k, in_ch)
+    dw = np.tensordot(pmap.astype(dw.dtype), dw, ([0, 2], [0, 2]))  # (kernel row, out, kw, in)
+    return np.ascontiguousarray(dw.transpose(1, 3, 0, 2))
+
+
 class Conv2d:
     """Stride-1 zero-padded convolution, lowered to im2col + GEMM per tile of samples.
 
@@ -302,6 +470,16 @@ class Conv2d:
     convolution of the output gradient, padded by ``kernel - 1 - pad``, with
     the kernel flipped and its input and output channels swapped; so ``pad``
     must lie in ``0..kernel-1``.
+
+    When the layer pads "same" (``2 * pad == kernel - 1``) and the rows of
+    the batch repeat exactly in aligned groups of some r > 1, as the AP
+    tensor's do (``_row_repeat``, largest such r), only every r-th row is
+    padded, kept and gathered, and the conv runs on those source rows with
+    a kernel of r row phases (``_conv_rows``); the weight gradient folds
+    back (``_conv_rows_grad``).  Outputs and gradients equal the general
+    path's up to rounding; the fused forward, worker-count and tiling
+    guarantees hold on this path as on the general one, and a batch without
+    repetition takes the general path unchanged.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int, rng):
@@ -324,48 +502,26 @@ class Conv2d:
         """The convolution; with ``pool_relu`` (inference only), 2x2-max-pooled and rectified too."""
         if train and pool_relu:
             raise ValueError("pool_relu is inference-only: backward needs each layer's own state")
-        xp = _pad_nhwc(x, self.pad)
+        r = _row_repeat(x) if 2 * self.pad == self.kernel - 1 else 1
+        xp = _pad_nhwc(x[:, :, ::r], self.pad, -(-self.pad // r))
         if train:
-            self._xp = xp
+            self._xp, self._repeat = xp, r
+        if r > 1:
+            return _conv_rows(xp, self.w, self.b, self.pad, r, pool_relu)
         return _conv(xp, self.w, self.b, pool_relu)
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Parameter gradients into ``_grads``; the input gradient unless ``need_dx`` is False."""
-        out_ch, in_ch, k, _ = self.w.shape
-        n, _, ho, wo = dout.shape
         xp, self._xp = self._xp, None
-        ranges, bufs = _tile_buffers(xp, k, out_ch)
-        t = len(bufs[0])
-        if in_ch == 1:
-            d = dout.reshape(n, out_ch, -1)
-            parts = np.empty((-(-n // t), out_ch, k * k), dtype=dout.dtype)
-            prods = [np.empty((t, out_ch, k * k), dtype=dout.dtype) for _ in ranges]
-
-            def work(i, lo, hi):
-                for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
-                    np.matmul(d[a:z], cols.transpose(0, 2, 1), out=prods[i][: z - a])
-                    np.sum(prods[i][: z - a], axis=0, out=parts[a // t])
-
+        if self._repeat > 1:
+            dw = _conv_rows_grad(xp, dout, self.kernel, self.pad, self._repeat)
         else:
-            parts = np.empty((-(-n // t), k * k * in_ch, out_ch), dtype=dout.dtype)
-            douts = [np.empty((t, ho, wo, out_ch), dtype=dout.dtype) for _ in ranges]
-
-            def work(i, lo, hi):
-                for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
-                    d = douts[i][: z - a]
-                    np.copyto(d, dout[a:z].transpose(0, 2, 3, 1))
-                    np.matmul(cols.T, d.reshape(-1, out_ch), out=parts[a // t])
-
-        _run(work, ranges)
-        del xp, bufs
-        dw = np.zeros(parts.shape[1:], dtype=dout.dtype)
-        for part in parts:  # tile order, whatever the worker count
-            dw += part
-        if in_ch != 1:
-            dw = dw.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
-        self._grads = {"w": np.ascontiguousarray(dw).reshape(self.w.shape), "b": dout.sum(axis=(0, 2, 3))}
+            dw = _conv_grad(xp, dout, self.kernel)
+        del xp
+        self._grads = {"w": dw, "b": dout.sum(axis=(0, 2, 3))}
         if not need_dx:
             return None
+        k = self.kernel
         return _conv(_pad_nhwc(dout, k - 1 - self.pad), self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
@@ -699,7 +855,7 @@ def train(
             pos = 0
         idx = order[pos : pos + batch]
         pos += batch
-        grads, loss = backward(model, x[idx].astype(np.float32), y[idx])
+        grads, loss = backward(model, x[idx].astype(np.float32, copy=False), y[idx])
         sgd_step(model, grads, opt)
         losses.append(loss)
     return model, np.asarray(losses)

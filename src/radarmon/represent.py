@@ -94,6 +94,8 @@ def ap_tensor(chunk) -> np.ndarray:
     Each 1024-vector is laid out row-major as 16 rows of 64 consecutive
     samples, every row repeated four times to fill its 64x64 plane, so
     ``ap_tensor(x)[c, ::4].ravel()`` is channel ``c``'s vector exactly.
+    The NN engine relies on that exact x4 repetition, in float32 too: it
+    runs the AP model's first convolution on the 16 source rows only.
     """
     x = _samples(chunk)
     if x.size != CHUNK_LEN:

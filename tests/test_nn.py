@@ -9,12 +9,19 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from radarmon import nn
+from radarmon import dataset, nn, represent
 
 # seeds verified to keep finite-difference checks clear of ReLU kinks and
 # pool ties (see fd tests); perturbation-induced activation flips otherwise
 # corrupt the numeric gradient
 FD_SEEDS = {"S": 1, "AP": 2}
+
+
+def ap_batch(n, seed=0, dtype=np.float32):
+    """``represent.model_batch`` of n synthesized chunks, both classes: AP tensors whose rows repeat in fours."""
+    cfg = dataset.ScenarioConfig(seed=seed)
+    chunks = [dataset.synth_entry_chunk(cfg, "train", i, i % 2)[0] for i in range(n)]
+    return represent.model_batch(chunks, "AP").astype(dtype, copy=False)
 
 
 def model_loss(model, x, y):
@@ -228,6 +235,13 @@ class TestGradients:
         y = np.array([0, 1])
         assert fd_model_worst(model, x, y) < 1e-4
 
+    def test_ap_model_finite_difference_on_ap_tensors(self):
+        # the rows of AP tensors repeat, so conv1 runs on its source rows
+        model = nn.build_model("AP", width_scale=1 / 16, seed=FD_SEEDS["AP"])
+        x = ap_batch(2, seed=4, dtype=np.float64)
+        assert nn._row_repeat(x) == 4
+        assert fd_model_worst(model, x, np.array([0, 1])) < 1e-4
+
     def test_saturated_output_layer_gradient_zero(self):
         rng = np.random.default_rng(26)
         dense = nn.Dense(3, 2, rng)
@@ -416,6 +430,35 @@ class TestConvMemory:
         assert [h for h in held_arrays(model) if int(h.split(".")[0]) in convs] == [f"{i}._xp" for i in convs]
         first = model.layers[0]
         assert first._xp.shape == (3, 64 + 2 * first.pad, 64 + 2 * first.pad, 2)
+
+    def test_row_repeated_training_keeps_only_the_padded_source_rows(self):
+        model = nn.build_model("AP", width_scale=1 / 16, seed=0)
+        x = ap_batch(3)
+        nn.forward(model, x, train=True)
+        convs = [i for i, layer in enumerate(model.layers) if isinstance(layer, nn.Conv2d)]
+        assert [h for h in held_arrays(model) if int(h.split(".")[0]) in convs] == [f"{i}._xp" for i in convs]
+        first = model.layers[0]  # every fourth row, padded by ceil(5 / 4) rows and 5 columns
+        assert first._xp.shape == (3, 64 // 4 + 2 * 2, 64 + 2 * first.pad, 2)
+        nn.backward(model, x, np.arange(3) % 2)
+        assert held_arrays(model) == []
+        nn.forward(model, x)
+        nn.forward(model, x, fused=True)
+        assert held_arrays(model) == []
+
+    def test_full_width_training_step_peak_on_ap_tensors(self):
+        # 58 MiB at the change that added it: relu1's backward, two 25 MiB
+        # conv1-sized gradients, sets the peak
+        model = nn.build_model("AP", seed=0)
+        x = ap_batch(50)
+        assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 64
+
+    def test_full_width_ap_conv1_peaks_on_ap_tensors(self):
+        # the 25 MiB output plus a few MiB of tiles per worker; a whole-batch
+        # row-phase product or output-gradient buffer would add 25 MiB
+        conv = nn.build_model("AP", seed=0).layers[0]
+        assert traced_peak_mb(conv.forward, ap_batch(50), True) < 40
+        dout = np.ones((50, 32, 64, 64), dtype=np.float32)
+        assert traced_peak_mb(functools.partial(conv.backward, need_dx=False), dout) < 16
 
     def test_full_width_inference_peak(self):
         model = nn.build_model("S", seed=0)
@@ -617,6 +660,157 @@ class TestFusedInference:
             nn.forward(nn.build_model("A", width_scale=1 / 8), np.zeros((1, 1, 32, 32)), train=True, fused=True)
 
 
+def repeated_rows(rng, shape, r, dtype=np.float64):
+    """A random NCHW batch whose rows repeat in aligned groups of r."""
+    n, c, h, w = shape
+    return rng.standard_normal((n, c, h // r, w)).repeat(r, axis=2).astype(dtype)
+
+
+def close(got, want, rtol):
+    return all(np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w)) for g, w in zip(got, want))
+
+
+class TestRowRepeat:
+    """A "same" conv of a batch whose rows repeat in groups of r runs on its source rows, as the general path up to rounding."""
+
+    @staticmethod
+    def run(layer, x, dout):
+        """The repeat factor the training forward chose, and TestTiling.run's output and gradients."""
+        out = layer.forward(x, train=True)
+        rows = layer._repeat
+        dx = layer.backward(dout)
+        return rows, [out, layer._grads["w"], layer._grads["b"], dx]
+
+    @pytest.mark.parametrize("r", [2, 4, 16])
+    @pytest.mark.parametrize("in_ch,k", [(2, 11), (1, 3), (3, 5)])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_the_general_path(self, monkeypatch, r, in_ch, k, dtype, rtol):
+        rng = np.random.default_rng([r, in_ch, k])
+        layer = nn.Conv2d(in_ch, 4, k, k // 2, rng)
+        layer.b[...] = rng.standard_normal(4)
+        x = repeated_rows(rng, (3, in_ch, 16, 12), r, dtype)
+        dout = rng.standard_normal((3, 4, 16, 12)).astype(dtype)  # one upstream gradient for both paths
+        rows, got = self.run(layer, x, dout)
+        monkeypatch.setattr(nn, "_row_repeat", lambda x: 1)
+        general, want = self.run(layer, x, dout)
+        assert (rows, general) == (r, 1)
+        assert all(g.dtype == dtype for g in got)
+        assert close(got, want, rtol)
+
+    @pytest.mark.parametrize("r", [2, 4, 16])
+    @pytest.mark.parametrize("tile_samples", [1, 2])
+    def test_layer_bitwise_equal_at_any_worker_count(self, monkeypatch, r, tile_samples):
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)  # split every pass, however small
+        rng = np.random.default_rng([r, tile_samples, 3])
+        layer = nn.Conv2d(2, 3, 11, 5, rng)
+        layer.b[...] = rng.standard_normal(3)
+        x = repeated_rows(rng, (5, 2, 16, 12), r, np.float32)
+        dout = rng.standard_normal((5, 3, 16, 12)).astype(np.float32)
+        # a source-row tile's im2col rows or its (r x 3)-column product, whichever is larger
+        kh = 2 * -(-5 // r) + 1
+        monkeypatch.setattr(nn, "_TILE_BYTES", tile_samples * (16 // r) * 12 * max(kh * 11 * 2, r * 3) * 4)
+        xs = nn._pad_nhwc(x[:, :, ::r], 5, -(-5 // r))
+        assert len(nn._tile_buffers(xs, 11, r * 3, kh=kh)[1][0]) == tile_samples
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            rows, arrays = self.run(layer, x, dout)
+            assert rows == r
+            results[workers] = arrays + [layer.forward(x, pool_relu=True)]
+        for workers in (2, 3):
+            assert all(np.array_equal(got, want) for got, want in zip(results[workers], results[1]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tile_samples", [1, 2])
+    def test_model_on_ap_tensors_bitwise_at_any_worker_count_and_fused(self, monkeypatch, dtype, tile_samples):
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)
+        x, y = ap_batch(5, dtype=dtype), np.arange(5) % 2
+        # conv1's tiles: 16 source rows x 64 columns of 5 x 11 x 2 taps per sample
+        monkeypatch.setattr(nn, "_TILE_BYTES", tile_samples * 16 * 64 * 110 * x.itemsize)
+        assert len(nn._tile_buffers(nn._pad_nhwc(x[:, :, ::4], 5, 2), 11, 16, kh=5)[1][0]) == tile_samples
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            model = nn.build_model("AP", width_scale=1 / 8, seed=5)
+            probs = nn.forward(model, x)
+            assert np.array_equal(nn.forward(model, x, fused=True), probs)
+            grads, loss = nn.backward(model, x, y)
+            assert model.layers[0]._repeat == 4
+            trained, losses = nn.train("AP", (x, y), {"total_iterations": 2, "batch_size": 5},
+                                       seed=5, width_scale=1 / 8)
+            arrays = [probs, np.float64(loss), losses]
+            arrays += [g for d in grads for _, g in sorted(d.items())]
+            results[workers] = arrays + [p for d in trained.params() for _, p in sorted(d.items())]
+        for workers in (2, 3):
+            assert all(np.array_equal(got, want) for got, want in zip(results[workers], results[1]))
+
+    @staticmethod
+    def edge_case(case):
+        rng = np.random.default_rng(51)
+        if case == "random":
+            return rng.random((4, 2, 64, 64))
+        x = ap_batch(4, seed=2, dtype=np.float64)
+        if case == "changed element in the last sample":
+            x[-1, 1, 6, 9] += 0.25
+        elif case == "silent first sample":
+            x = rng.random((4, 2, 64, 64))
+            x[0] = 0.0
+        elif case == "silent first sample of AP tensors":
+            x[0] = 0.0
+        elif case == "all zero":
+            x[...] = 0.0
+        return x
+
+    @pytest.mark.parametrize("case,r", [
+        ("random", 1),
+        ("changed element in the last sample", 1),
+        ("silent first sample", 1),
+        ("AP tensors", 4),
+        ("silent first sample of AP tensors", 4),
+        ("all zero", 64),
+    ])
+    def test_detection_edge_cases(self, monkeypatch, case, r):
+        x = self.edge_case(case)
+        assert nn._row_repeat(x) == r
+        rng = np.random.default_rng(52)
+        layer = nn.Conv2d(2, 3, 11, 5, rng)
+        layer.b[...] = rng.standard_normal(3)
+        dout = rng.standard_normal((4, 3, 64, 64))
+        rows, got = self.run(layer, x, dout)
+        fused = layer.forward(x, pool_relu=True)
+        monkeypatch.setattr(nn, "_row_repeat", lambda x: 1)
+        _, want = self.run(layer, x, dout)
+        want_fused = layer.forward(x, pool_relu=True)
+        assert rows == r
+        if r == 1:  # no repetition: the general path itself
+            assert all(np.array_equal(g, w) for g, w in zip([*got, fused], [*want, want_fused]))
+        else:
+            assert close([*got, fused], [*want, want_fused], 1e-12)
+
+    @pytest.mark.parametrize("rows,r", [
+        ([0, 0, 0, 0, 1, 1, 2, 2], 2),  # groups of 4 and of 2 both fit only 2
+        ([0, 0, 0, 1, 1, 1], 3),
+        ([5, 5, 5, 5, 5, 5], 6),
+        ([0, 0, 1, 1, 1, 1], 2),
+        ([0, 1], 1),
+        ([0], 1),
+    ])
+    def test_repeat_factor_is_the_largest_fitting_divisor(self, rows, r):
+        x = np.asarray(rows, dtype=float)[None, None, :, None] * np.ones((2, 3, 1, 5))
+        assert nn._row_repeat(x) == r
+
+    def test_nan_rows_never_repeat(self):
+        x = np.full((2, 1, 4, 3), np.nan)
+        assert nn._row_repeat(x) == 1
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_only_a_same_padded_conv_takes_the_path(self, pad):
+        layer = nn.Conv2d(1, 2, 3, pad, np.random.default_rng(53))
+        x = repeated_rows(np.random.default_rng(54), (2, 1, 8, 8), 4)
+        layer.forward(x, train=True)
+        assert layer._repeat == (4 if pad == 1 else 1)
+
+
 class TestOptimizer:
     def make_scalar_model(self, w0):
         rng = np.random.default_rng(0)
@@ -748,6 +942,30 @@ class TestTrain:
         _, final = nn.backward(model, x.astype(np.float64), y)
         losses.append(final)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_minibatches_are_the_float32_rows_of_the_shuffle(self, dtype):
+        # the loop of nn.train, spelled out with a float32 copy of each minibatch
+        x, y = self.tiny_dataset(n=20, seed=4)
+        x = x.astype(dtype)
+        overrides = {"total_iterations": 7, "batch_size": 8}
+        model, losses = nn.train("A", (x, y), overrides, seed=6, width_scale=0.1)
+        ref = nn.build_model("A", width_scale=0.1, seed=6)
+        opt = nn.OptimizerState(**overrides)
+        shuffle_rng = np.random.default_rng([6, 1])
+        order, pos, ref_losses = shuffle_rng.permutation(20), 0, []
+        for _ in range(7):
+            if pos + 8 > 20:
+                order, pos = shuffle_rng.permutation(20), 0
+            idx = order[pos : pos + 8]
+            pos += 8
+            grads, loss = nn.backward(ref, x[idx].astype(np.float32), y[idx])
+            nn.sgd_step(ref, grads, opt)
+            ref_losses.append(loss)
+        np.testing.assert_array_equal(losses, ref_losses)
+        for got, want in zip(model.params(), ref.params()):
+            for k in got:
+                np.testing.assert_array_equal(got[k], want[k])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

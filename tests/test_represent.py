@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radarmon import nn
+from radarmon import dataset, nn
 from radarmon.iqcore import make_chunk
 from radarmon.radar import BarkerPm, Pc, synth_pulse
 from radarmon.represent import (
@@ -194,3 +194,18 @@ class TestModelInput:
     def test_works_on_chunks(self):
         chunk = make_chunk(np.ones(1024, dtype=complex), np.zeros(1024, bool), "t")
         assert model_input(chunk, "AP").shape == (2, 64, 64)
+
+    def test_only_ap_batches_repeat_rows_and_in_fours(self):
+        # nn's conv1 runs a batch whose rows repeat on its source rows alone;
+        # every AP batch train and eval build must take that path, and the
+        # other variants' batches pay only the first row comparison
+        cfg = dataset.ScenarioConfig(seed=7)
+        chunks = [dataset.synth_entry_chunk(cfg, "train", i, i % 2)[0] for i in range(6)]
+        ap = model_batch(chunks, "AP")
+        assert ap.dtype == np.float32
+        np.testing.assert_array_equal(ap, ap[:, :, ::4].repeat(4, axis=2))
+        assert nn._row_repeat(ap) == 4
+        for variant in ("S", "A", "P"):
+            batch = model_batch(chunks, variant)
+            assert not np.array_equal(batch[0, :, 0], batch[0, :, 1])
+            assert nn._row_repeat(batch) == 1
