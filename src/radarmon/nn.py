@@ -173,8 +173,8 @@ def _pad_nhwc(x: np.ndarray, pad: int, row_pad: int | None = None) -> np.ndarray
     return xp
 
 
-def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1, kh: int | None = None
-                  ) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1, kh: int | None = None,
+                  tap_major: bool = False) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
     """Worker ranges of whole tiles over padded NHWC ``xp``, and one im2col tile buffer per range.
 
     The kernel is ``kh`` x ``k``, square unless ``kh`` is given.  A tile
@@ -182,34 +182,33 @@ def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1, kh: int 
     matrix and its GEMM product, of ``out_ch`` columns, within
     ``_TILE_BYTES``; the ranges count that GEMM's work.  Each
     sample's output rows come in ``phases`` row phases: with two, its even
-    rows, then its odd ones.  A one-channel input is gathered tap-major,
-    (kh, kw, phase, row, wo) per sample, unless ``kh`` is given; every
-    other gather is channels-last, (phase, row, wo, kh, kw, channels).
+    rows, then its odd ones.  A ``tap_major`` buffer, for a one-channel
+    input, is (kh, kw, phase, row, wo) per sample; otherwise the gather is
+    channels-last, (phase, row, wo, kh, kw, channels).
     """
     n, hp, wp, c = xp.shape
-    tap_major = c == 1 and kh is None
     kh = k if kh is None else kh
     ho, wo = hp - kh + 1, wp - k + 1
     rows = (phases, ho // phases, wo)
-    sample = (k, k, *rows) if tap_major else (*rows, kh, k, c)
+    sample = (kh, k, *rows) if tap_major else (*rows, kh, k, c)
     t = max(1, min(n, _TILE_BYTES // (max(math.prod(sample), ho * wo * out_ch) * xp.itemsize)))
     ranges = _split(n, 2 * ho * wo * kh * k * c * out_ch // _FLOPS_PER_BYTE, t)
     return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
 
 
-def _im2col_tiles(xp: np.ndarray, k: int, lo: int, hi: int, buf: np.ndarray):
+def _im2col_tiles(xp: np.ndarray, lo: int, hi: int, buf: np.ndarray, tap_major: bool = False):
     """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded NHWC ``xp``.
 
     Samples lo..hi-1 are gathered ``len(buf)`` at a time into ``buf``, which
-    the next tile overwrites; its shape, from ``_tile_buffers``, sets the
-    row phases, the kernel rows and the layout.  A tap-major cols is
-    (samples, kh*kw, pixels), gathered in runs of a whole output row; a
-    channels-last one is (samples*pixels, kh*kw*channels), gathered in runs
-    of kw*channels.
+    the next tile overwrites.  ``buf`` and ``tap_major`` come from the same
+    ``_tile_buffers`` call; the buffer's shape sets the row phases and the
+    kernel.  A tap-major cols is (samples, kh*kw, pixels), gathered in runs
+    of a whole output row; a channels-last one is (samples*pixels,
+    kh*kw*channels), gathered in runs of kw*channels.
     """
     s0, s1, s2, s3 = xp.strides
-    tap_major = buf.ndim == 6  # (t, kh, kw, phase, row, wo); channels-last has a channel axis more
     rows = buf.shape[3:] if tap_major else buf.shape[1:4]
+    taps = math.prod(buf.shape[1:3])
     row_strides = (s1, rows[0] * s1, s2)  # phase p starts p rows down and steps `phases` rows
     strides = (s0, s1, s2, *row_strides) if tap_major else (s0, *row_strides, s1, s2, s3)
     view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
@@ -217,7 +216,7 @@ def _im2col_tiles(xp: np.ndarray, k: int, lo: int, hi: int, buf: np.ndarray):
     for a in range(lo, hi, len(buf)):
         m = min(len(buf), hi - a)
         np.copyto(buf[:m], view[a : a + m])
-        yield a, a + m, buf[:m].reshape((m, k * k, pixels) if tap_major else (m * pixels, -1))
+        yield a, a + m, buf[:m].reshape((m, taps, pixels) if tap_major else (m * pixels, -1))
 
 
 def _pooled_shape(shape: tuple) -> tuple:
@@ -260,15 +259,16 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
     ho, wo = full[2:]
     out = np.empty(_pooled_shape(full) if pool_relu else full, dtype=xp.dtype)
     bias = None if b is None else b.astype(xp.dtype)[:, None, None]
-    ranges, bufs = _tile_buffers(xp, k, out_ch, 2 if pool_relu else 1)
+    tap_major = in_ch == 1
+    ranges, bufs = _tile_buffers(xp, k, out_ch, 2 if pool_relu else 1, tap_major=tap_major)
     # per worker: the row max of one tile's product
     halves = [np.empty((len(buf), out_ch * ho * wo // 2), dtype=xp.dtype) for buf in bufs] if pool_relu else None
-    if in_ch == 1:  # tap-major tiles: the GEMM writes NCHW rows, directly unless pooled
+    if tap_major:  # the GEMM writes NCHW rows, directly unless pooled
         w2 = w.reshape(out_ch, -1).astype(xp.dtype)
         prods = [np.empty((len(buf), out_ch, ho * wo), dtype=xp.dtype) for buf in bufs] if pool_relu else None
 
         def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
                 m, y = z - a, out[a:z]
                 if pool_relu:
                     prod = np.matmul(w2, cols, out=prods[i][:m]).reshape(m, out_ch, 2, -1)
@@ -285,7 +285,7 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
         prods = [np.empty((len(buf), ho, wo, out_ch), dtype=xp.dtype) for buf in bufs]
 
         def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
                 m, y = z - a, out[a:z]
                 prod = prods[i][:m]
                 np.matmul(cols, w2, out=prod.reshape(-1, out_ch))
@@ -344,15 +344,16 @@ def _conv_grad(xp: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
     """The (out, in, k, k) weight gradient of ``_conv`` of padded NHWC ``xp``, given output gradient ``dout``."""
     n, out_ch, ho, wo = dout.shape
     in_ch = xp.shape[3]
-    ranges, bufs = _tile_buffers(xp, k, out_ch)
+    tap_major = in_ch == 1
+    ranges, bufs = _tile_buffers(xp, k, out_ch, tap_major=tap_major)
     t = len(bufs[0])
-    if in_ch == 1:
+    if tap_major:
         d = dout.reshape(n, out_ch, -1)
         parts = np.empty((-(-n // t), out_ch, k * k), dtype=dout.dtype)
         prods = [np.empty((t, out_ch, k * k), dtype=dout.dtype) for _ in ranges]
 
         def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
                 np.matmul(d[a:z], cols.transpose(0, 2, 1), out=prods[i][: z - a])
                 np.sum(prods[i][: z - a], axis=0, out=parts[a // t])
 
@@ -361,7 +362,7 @@ def _conv_grad(xp: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
         douts = [np.empty((t, ho, wo, out_ch), dtype=dout.dtype) for _ in ranges]
 
         def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, k, lo, hi, bufs[i]):
+            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
                 d = douts[i][: z - a]
                 np.copyto(d, dout[a:z].transpose(0, 2, 3, 1))
                 np.matmul(cols.T, d.reshape(-1, out_ch), out=parts[a // t])
@@ -369,7 +370,7 @@ def _conv_grad(xp: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
     _run(work, ranges)
     del bufs
     dw = _tile_sum(parts)
-    if in_ch != 1:
+    if not tap_major:
         dw = dw.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
     return np.ascontiguousarray(dw).reshape(out_ch, in_ch, k, k)
 
@@ -405,7 +406,7 @@ def _conv_rows(xs: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, r: int, p
     halves = [np.empty((len(buf), out_ch, hs * r // 2, wo), dtype=xs.dtype) for buf in bufs] if pool_relu else None
 
     def work(i, lo, hi):
-        for a, z, cols in _im2col_tiles(xs, k, lo, hi, bufs[i]):
+        for a, z, cols in _im2col_tiles(xs, lo, hi, bufs[i]):
             m, y = z - a, out[a:z]
             prod = prods[i][: r * out_ch * m * hs * wo].reshape(r * out_ch, -1)
             np.matmul(w2, cols.T, out=prod)
@@ -440,7 +441,7 @@ def _conv_rows_grad(xs: np.ndarray, dout: np.ndarray, k: int, pad: int, r: int) 
     douts = [np.empty(t * r * out_ch * hs * wo, dtype=dout.dtype) for _ in ranges]
 
     def work(i, lo, hi):
-        for a, z, cols in _im2col_tiles(xs, k, lo, hi, bufs[i]):
+        for a, z, cols in _im2col_tiles(xs, lo, hi, bufs[i]):
             m = z - a
             d = douts[i][: r * out_ch * m * hs * wo].reshape(r, out_ch, m, hs, wo)
             np.copyto(d, dout[a:z].reshape(m, out_ch, hs, r, wo).transpose(3, 1, 0, 2, 4))

@@ -484,6 +484,17 @@ class TestConvMemory:
         x = np.zeros((200, 1, 64, 64), dtype=np.float32)
         assert traced_peak_mb(functools.partial(nn.forward, fused=True), model, x) < 90
 
+    @pytest.mark.parametrize("fused, bound", [(False, 150), (True, 90)])
+    def test_s_inference_peaks_without_repetition(self, fused, bound):
+        # The three S tests above feed all-zero batches, whose rows repeat
+        # (r = 64 at conv1, and every later conv sees a constant input too),
+        # so they gate the row-phase path.  This gates the general path that
+        # S spectrograms take with their bounds; 150 MiB implies the 300.
+        x = np.random.default_rng(14).random((200, 1, 64, 64), dtype=np.float32)
+        assert nn._row_repeat(x) == 1
+        model = nn.build_model("S", seed=0)
+        assert traced_peak_mb(functools.partial(nn.forward, fused=fused), model, x) < bound
+
     def test_forward_leaves_the_callers_batch_alone(self):
         rng = np.random.default_rng(13)
         relu_first = nn.CnnModel("toy", (3,), 1.0, [nn.Relu(), nn.Dense(3, 2, rng), nn.Softmax()])
