@@ -14,13 +14,15 @@ On disk, dataset writes each chunk set as one split under --out: the
 scenario's ``train`` and ``test`` and the psnr_sweep's ``psnr``, each as
 ``manifest_<split>.json`` plus ``chunks/<split>_NNNNNN.iq`` payloads with
 ``.iq.json`` sidecars.  train and eval --manifest read one manifest;
-eval --psnr-dir D reads ``D/manifest_psnr.json``.  repr --kind V writes
-the input that train and eval feed a variant V (S, AP, A or P) model for
-one 1024-sample chunk, as text with its channels side by side.
+eval --psnr-dir D reads ``D/manifest_psnr.json``.  A manifest that lists
+no chunks is a bad input.  repr --kind V writes the input that train and
+eval feed a variant V (S, AP, A or P) model for one 1024-sample chunk, as
+text with its channels side by side.
 
-Exit codes: 0 success; 1 a bad config or a missing input file; 2 any other
-failure, with its traceback on stderr.  RADARMON_WORKERS (default 1) sets
-the dataset-build process count; the output does not depend on it.
+Exit codes: 0 success; 1 a bad config, a missing input file or an empty
+manifest; 2 any other failure, with its traceback on stderr.
+RADARMON_WORKERS (default 1) sets the dataset-build process count; the
+output does not depend on it.
 """
 
 from __future__ import annotations
@@ -208,6 +210,13 @@ def _load_config(path: str, cls):
     return from_dict(cls, doc)
 
 
+def _load_manifest(path) -> ds.DatasetManifest:
+    manifest = ds.load_manifest(path)
+    if not manifest.entries:
+        raise ConfigError(f"manifest {path} lists no chunks")
+    return manifest
+
+
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config, SynthConfig)
     fs, duration, seed = cfg.sample_rate_hz, cfg.duration_s, cfg.seed
@@ -246,7 +255,7 @@ def cmd_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, TrainConfig)
-    manifest = ds.load_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     root = Path(args.manifest).parent
     x = represent.model_batch((ds.load_chunk(root, e) for e in manifest.entries), cfg.variant)
     labels = np.array([e.label for e in manifest.entries], dtype=np.intp)
@@ -273,19 +282,19 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config, EvalConfig) if args.config else EvalConfig()
     if not args.manifest and not args.psnr_dir:
         raise ConfigError("eval requires --manifest and/or --psnr-dir")
+    manifest = _load_manifest(args.manifest) if args.manifest else None
+    psnr = _load_manifest(Path(args.psnr_dir) / "manifest_psnr.json") if args.psnr_dir else None
     model = nn.load_model(args.model)
     out_dir = Path(args.out)
     reports, curves = [], []
-    if args.manifest:
-        manifest = ds.load_manifest(args.manifest)
+    if manifest is not None:
         report = evaluate.evaluate_manifest(
             model, manifest, Path(args.manifest).parent, threshold=cfg.threshold
         )
         reports.append(report)
         print(f"{model.variant} accuracy on {manifest.split}: {report.accuracy:.4f}")
-    if args.psnr_dir:
-        sets = ds.group_psnr_sets(ds.load_manifest(Path(args.psnr_dir) / "manifest_psnr.json"),
-                                  args.psnr_dir)
+    if psnr is not None:
+        sets = ds.group_psnr_sets(psnr, args.psnr_dir)
         curves.extend(evaluate.pd_curve(model, sets, threshold=cfg.threshold))
     written = evaluate.emit_curves(reports, curves, out_dir)
     print(f"wrote {len(written)} files to {out_dir}")

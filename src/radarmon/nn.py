@@ -6,7 +6,11 @@ runs in float64.  Parameters and momentum are float64 master copies, cast
 to the batch dtype on every call.  Convolutions are stride-1 and
 zero-padded, lowered to matrix products with im2col one cache-sized tile of
 samples at a time, so no whole-batch patch matrix is ever built; the input
-gradient is itself such a convolution.  Max pooling is 2x2 with
+gradient is itself such a convolution.  There are two lowerings.  A conv
+whose input has one channel, or whose batch repeats its rows, pads NCHW
+and gathers tap-major tiles, so its GEMM writes whole NCHW output rows;
+every other conv pads NHWC and gathers channels-last tiles, whose product
+is transposed into the output while in cache.  Max pooling is 2x2 with
 deterministic first-maximum tie-breaking.  A fused inference forward runs
 each conv -> ReLU -> max-pool triple as one pass: every tile's product is
 pooled while it is in cache, then biased and rectified, so no
@@ -15,15 +19,16 @@ layer-by-layer forward bit for bit.  The classifier head is a two-way
 softmax trained with cross-entropy under SGD with momentum and weight decay.
 
 A "same"-padded conv whose batch repeats every row exactly in aligned
-groups of some r > 1, as the AP tensor's rows repeat in fours, runs on the
-batch's every r-th row alone: its kernel is expanded to one block of output
-channels per output row phase, each block summing the kernel rows that
-read one source row (the sub-pixel convolution identity of Shi et al.,
-arXiv 1609.05158), and its weight gradient folds back through the same 0/1
-map.  The path is chosen per batch from the rows themselves, compared with
-``np.array_equal``; a batch whose first sample differs between rows 0 and
-1 pays that one comparison and takes the general path unchanged.  Results equal the general
-path's up to rounding, and the guarantees below hold on both paths.
+groups of r > 1 (r a power of two), as the AP tensor's rows repeat in
+fours, runs on the batch's every r-th row alone: its kernel is expanded to
+one block of output channels per output row phase, each block summing the
+kernel rows that read one source row (the sub-pixel convolution identity
+of Shi et al., arXiv 1609.05158), and its weight gradient folds back
+through the same 0/1 map.  r is found per batch from the rows themselves,
+compared with ``np.array_equal``; a batch whose first sample differs
+between rows 0 and 1 pays that one comparison and runs at r = 1.  Results
+equal those at r = 1 up to rounding, and the guarantees below hold at
+every r.
 
 The per-sample passes of the conv, ReLU and pool layers run on contiguous
 ranges of samples, one range per worker thread, so the engine uses the CPUs
@@ -160,14 +165,30 @@ def _run(fn, ranges) -> None:
         f.result()
 
 
-def _pad_nhwc(x: np.ndarray, pad: int, row_pad: int | None = None) -> np.ndarray:
-    """NCHW batch -> NHWC copy with ``pad`` zero columns and ``row_pad`` (default ``pad``) zero rows each side."""
+def _tap_major(in_ch: int, r: int) -> bool:
+    """Whether a conv of ``in_ch`` input channels at row repeat ``r`` takes the tap-major lowering."""
+    return in_ch == 1 or r > 1  # several channels at r = 1 run faster channels-last (ROADMAP "Measured")
+
+
+def _nhwc(xp: np.ndarray, tap_major: bool) -> np.ndarray:
+    """Padded input ``xp`` viewed as NHWC: a tap-major one is NCHW."""
+    return xp.transpose(0, 2, 3, 1) if tap_major else xp
+
+
+def _padded(x: np.ndarray, pad: int, r: int = 1) -> np.ndarray:
+    """NCHW ``x``'s every r-th row with ``pad`` zero columns and ceil(pad/r) zero rows each side.
+
+    The copy is NCHW for the tap-major lowering, else NHWC.
+    """
+    x = x[:, :, ::r]
     n, c, h, w = x.shape
-    rp = pad if row_pad is None else row_pad
-    xp = np.zeros((n, h + 2 * rp, w + 2 * pad, c), dtype=x.dtype)
+    rp = -(-pad // r)
+    tap_major = _tap_major(c, r)
+    xp = np.zeros((n, c, h + 2 * rp, w + 2 * pad) if tap_major else (n, h + 2 * rp, w + 2 * pad, c), dtype=x.dtype)
+    inner = _nhwc(xp, tap_major)[:, rp : rp + h, pad : pad + w]
 
     def work(_, lo, hi):
-        xp[lo:hi, rp : rp + h, pad : pad + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
+        inner[lo:hi] = x[lo:hi].transpose(0, 2, 3, 1)
 
     _run(work, _split(n, xp[:1].nbytes))
     return xp
@@ -175,48 +196,47 @@ def _pad_nhwc(x: np.ndarray, pad: int, row_pad: int | None = None) -> np.ndarray
 
 def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1, kh: int | None = None,
                   tap_major: bool = False) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
-    """Worker ranges of whole tiles over padded NHWC ``xp``, and one im2col tile buffer per range.
+    """Worker ranges of whole tiles over padded ``xp``, and one im2col tile buffer per range.
 
-    The kernel is ``kh`` x ``k``, square unless ``kh`` is given.  A tile
-    holds as many whole samples (at least one) as keep both its im2col
-    matrix and its GEMM product, of ``out_ch`` columns, within
-    ``_TILE_BYTES``; the ranges count that GEMM's work.  Each
-    sample's output rows come in ``phases`` row phases: with two, its even
-    rows, then its odd ones.  A ``tap_major`` buffer, for a one-channel
-    input, is (kh, kw, phase, row, wo) per sample; otherwise the gather is
-    channels-last, (phase, row, wo, kh, kw, channels).
+    ``xp`` is NCHW if ``tap_major``, else NHWC.  The kernel is ``kh`` x
+    ``k``, square unless ``kh`` is given.  A tile holds as many whole
+    samples (at least one) as keep both its im2col matrix and its GEMM
+    product, of ``out_ch`` rows, within ``_TILE_BYTES``; the ranges count
+    that GEMM's work.  Each sample's output rows come in ``phases`` row
+    phases: with two, its even rows, then its odd ones.  A tap-major buffer
+    is (channels, kh, kw, phase, row, wo) per sample; a channels-last one
+    is (phase, row, wo, kh, kw, channels).
     """
-    n, hp, wp, c = xp.shape
+    n, hp, wp, c = _nhwc(xp, tap_major).shape
     kh = k if kh is None else kh
     ho, wo = hp - kh + 1, wp - k + 1
     rows = (phases, ho // phases, wo)
-    sample = (kh, k, *rows) if tap_major else (*rows, kh, k, c)
+    sample = (c, kh, k, *rows) if tap_major else (*rows, kh, k, c)
     t = max(1, min(n, _TILE_BYTES // (max(math.prod(sample), ho * wo * out_ch) * xp.itemsize)))
     ranges = _split(n, 2 * ho * wo * kh * k * c * out_ch // _FLOPS_PER_BYTE, t)
     return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
 
 
 def _im2col_tiles(xp: np.ndarray, lo: int, hi: int, buf: np.ndarray, tap_major: bool = False):
-    """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded NHWC ``xp``.
+    """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded ``xp``.
 
     Samples lo..hi-1 are gathered ``len(buf)`` at a time into ``buf``, which
     the next tile overwrites.  ``buf`` and ``tap_major`` come from the same
     ``_tile_buffers`` call; the buffer's shape sets the row phases and the
-    kernel.  A tap-major cols is (samples, kh*kw, pixels), gathered in runs
-    of a whole output row; a channels-last one is (samples*pixels,
+    kernel.  A tap-major cols is (samples, channels*kh*kw, pixels), gathered
+    in runs of a whole output row; a channels-last one is (samples*pixels,
     kh*kw*channels), gathered in runs of kw*channels.
     """
-    s0, s1, s2, s3 = xp.strides
-    rows = buf.shape[3:] if tap_major else buf.shape[1:4]
-    taps = math.prod(buf.shape[1:3])
+    s0, s1, s2, sc = _nhwc(xp, tap_major).strides
+    rows = buf.shape[4:] if tap_major else buf.shape[1:4]
     row_strides = (s1, rows[0] * s1, s2)  # phase p starts p rows down and steps `phases` rows
-    strides = (s0, s1, s2, *row_strides) if tap_major else (s0, *row_strides, s1, s2, s3)
+    strides = (s0, sc, s1, s2, *row_strides) if tap_major else (s0, *row_strides, s1, s2, sc)
     view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
     pixels = math.prod(rows)
     for a in range(lo, hi, len(buf)):
         m = min(len(buf), hi - a)
         np.copyto(buf[:m], view[a : a + m])
-        yield a, a + m, buf[:m].reshape((m, taps, pixels) if tap_major else (m * pixels, -1))
+        yield a, a + m, buf[:m].reshape((m, -1, pixels) if tap_major else (m * pixels, -1))
 
 
 def _pooled_shape(shape: tuple) -> tuple:
@@ -231,8 +251,8 @@ def _pool_relu_tile(prod: np.ndarray, half: np.ndarray, pairs: np.ndarray, bias:
                     out: np.ndarray) -> None:
     """2x2 max of a tile's product, plus ``bias``, rectified, into ``out``.
 
-    ``prod`` holds each sample's two row phases on axis 2; their max goes
-    into the contiguous ``half``, of the same shape without that axis.
+    ``prod`` holds the two rows of each pool window on axis 2; their max
+    goes into the contiguous ``half``, of the same shape without that axis.
     ``pairs`` views ``half`` as (column phase, *out.shape), so the column
     max runs on half-size data, and the bias and ReLU touch only the
     quarter-size result.
@@ -244,43 +264,57 @@ def _pool_relu_tile(prod: np.ndarray, half: np.ndarray, pairs: np.ndarray, bias:
     np.maximum(out, 0, out=out)
 
 
-def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu: bool = False) -> np.ndarray:
-    """Valid correlation of padded NHWC ``xp`` with (out, in, k, k) ``w``, plus bias ``b``, as NCHW.
+def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu: bool = False,
+          r: int = 1) -> np.ndarray:
+    """Valid correlation of ``_padded`` input ``xp`` with (r*out, in, kh, kw) ``w``, plus bias ``b``, as NCHW.
 
-    With ``pool_relu`` each tile's product is 2x2-max-pooled while it is in
-    cache, then biased and rectified, so the full-resolution output never
-    exists.  The GEMMs have the shapes of the plain conv's, and max commutes
-    with ReLU and, because rounding is monotone, with the bias add; so the
-    result equals conv, ReLU and pool in turn bit for bit.
+    ``w`` is ``Conv2d._phase_kernel(r)``: row block p applied to source row
+    Y gives output row r*Y + p.  With ``pool_relu`` each tile's product is
+    2x2-max-pooled while it is in cache (at r > 1 a window's two rows are
+    phases 2j and 2j + 1), then biased and rectified, so the full-resolution
+    output never exists.  Max commutes with ReLU and, because rounding is
+    monotone, with the bias add; so the result equals conv, ReLU and pool in
+    turn bit for bit.
     """
-    out_ch, in_ch, k, _ = w.shape
-    n, hp, wp, _ = xp.shape
-    full = (n, out_ch, hp - k + 1, wp - k + 1)
-    ho, wo = full[2:]
+    rows, in_ch, kh, kw = w.shape
+    out_ch = rows // r
+    tap_major = _tap_major(in_ch, r)
+    _, hp, wp, _ = _nhwc(xp, tap_major).shape
+    ho, wo = hp - kh + 1, wp - kw + 1  # at r > 1, the source rows' output
+    full = (len(xp), out_ch, r * ho, wo)
     out = np.empty(_pooled_shape(full) if pool_relu else full, dtype=xp.dtype)
     bias = None if b is None else b.astype(xp.dtype)[:, None, None]
-    tap_major = in_ch == 1
-    ranges, bufs = _tile_buffers(xp, k, out_ch, 2 if pool_relu else 1, tap_major=tap_major)
+    ranges, bufs = _tile_buffers(xp, kw, rows, 2 if pool_relu and r == 1 else 1, kh, tap_major)
     # per worker: the row max of one tile's product
-    halves = [np.empty((len(buf), out_ch * ho * wo // 2), dtype=xp.dtype) for buf in bufs] if pool_relu else None
-    if tap_major:  # the GEMM writes NCHW rows, directly unless pooled
-        w2 = w.reshape(out_ch, -1).astype(xp.dtype)
-        prods = [np.empty((len(buf), out_ch, ho * wo), dtype=xp.dtype) for buf in bufs] if pool_relu else None
+    halves = [np.empty((len(buf), rows * ho * wo // 2), dtype=xp.dtype) for buf in bufs] if pool_relu else None
+    if tap_major:  # the GEMM writes NCHW rows, directly unless pooled or phased
+        w2 = w.reshape(rows, -1).astype(xp.dtype)
+        direct = r == 1 and not pool_relu
+        prods = None if direct else [np.empty((len(buf), rows, ho * wo), dtype=xp.dtype) for buf in bufs]
 
         def work(i, lo, hi):
             for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
                 m, y = z - a, out[a:z]
-                if pool_relu:
-                    prod = np.matmul(w2, cols, out=prods[i][:m]).reshape(m, out_ch, 2, -1)
+                if direct:
+                    np.matmul(w2, cols, out=y.reshape(m, out_ch, -1))
+                else:
+                    prod = np.matmul(w2, cols, out=prods[i][:m])
+                if pool_relu and r == 1:  # each channel's even output rows, then its odd ones
                     half = halves[i][:m].reshape(m, out_ch, -1)
                     pairs = half.reshape(m, out_ch, ho // 2, wo // 2, 2).transpose(4, 0, 1, 2, 3)
-                    _pool_relu_tile(prod, half, pairs, bias, y)
-                else:
-                    np.matmul(w2, cols, out=y.reshape(m, out_ch, -1))
-                    if bias is not None:
-                        y += bias
+                    _pool_relu_tile(prod.reshape(m, out_ch, 2, -1), half, pairs, bias, y)
+                elif pool_relu:  # phases 2j and 2j + 1 of source row Y pool into output row Y*r/2 + j
+                    half = halves[i][:m].reshape(m, r // 2, -1)
+                    pairs = half.reshape(m, r // 2, out_ch, ho, wo // 2, 2).transpose(5, 0, 2, 3, 1, 4)
+                    y, window_bias = y.reshape(m, out_ch, ho, r // 2, -1), None if bias is None else bias[:, None]
+                    _pool_relu_tile(prod.reshape(m, r // 2, 2, -1), half, pairs, window_bias, y)
+                elif r > 1:  # whole output rows
+                    by_row = prod.reshape(m, r, out_ch, ho, wo).transpose(0, 2, 3, 1, 4)
+                    np.copyto(y.reshape(m, out_ch, ho, r, wo), by_row)
+                if not pool_relu and bias is not None:
+                    y += bias  # after the copy: a broadcast bias would slow it 1.5x
 
-    else:  # each tile's NHWC product is transposed into the output while in cache
+    else:  # r = 1: each tile's NHWC product is transposed into the output while in cache
         w2 = w.transpose(2, 3, 1, 0).reshape(-1, out_ch).astype(xp.dtype)
         prods = [np.empty((len(buf), ho, wo, out_ch), dtype=xp.dtype) for buf in bufs]
 
@@ -303,17 +337,19 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
 
 
 def _row_repeat(x: np.ndarray) -> int:
-    """The largest r dividing the height of NCHW ``x`` such that each row of the batch equals the others of its aligned group of r.
+    """The largest power of two r such that each row of NCHW ``x`` equals the others of its aligned group of r.
 
-    Rows are compared with ``np.array_equal``.  A batch whose first sample
-    differs between rows 0 and 1 costs that one comparison; otherwise every
-    row of the batch is compared with the one above it.
+    A power of two, so that a 2x2 pool window's rows are adjacent row phases
+    of one group.  Rows are compared with ``np.array_equal``.  A batch whose first
+    sample differs between rows 0 and 1 costs that one comparison; otherwise
+    every row of the batch is compared with the one above it.
     """
     h = x.shape[2]
     if h < 2 or not np.array_equal(x[0, :, 0], x[0, :, 1]):
         return 1
     starts = np.flatnonzero(np.any(x[:, :, 1:] != x[:, :, :-1], axis=(0, 1, 3))) + 1
-    return math.gcd(h, *starts.tolist())  # r divides h and every row where the batch changes
+    g = math.gcd(h, *starts.tolist())  # the rows repeat in groups of every divisor of g
+    return g & -g
 
 
 def _phase_map(k: int, pad: int, r: int) -> np.ndarray:
@@ -340,25 +376,34 @@ def _tile_sum(parts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _conv_grad(xp: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
-    """The (out, in, k, k) weight gradient of ``_conv`` of padded NHWC ``xp``, given output gradient ``dout``."""
-    n, out_ch, ho, wo = dout.shape
-    in_ch = xp.shape[3]
-    tap_major = in_ch == 1
-    ranges, bufs = _tile_buffers(xp, k, out_ch, tap_major=tap_major)
+def _conv_grad(xp: np.ndarray, dout: np.ndarray, in_ch: int, r: int = 1) -> np.ndarray:
+    """The (r*out, in, kh, kw) weight gradient of ``_conv`` of ``xp`` at row repeat ``r``, given ``dout``."""
+    n, out_ch, h, wo = dout.shape
+    tap_major = _tap_major(in_ch, r)
+    _, hp, wp, _ = _nhwc(xp, tap_major).shape
+    ho, rows = h // r, r * out_ch
+    kh, kw = hp - ho + 1, wp - wo + 1
+    ranges, bufs = _tile_buffers(xp, kw, rows, kh=kh, tap_major=tap_major)
     t = len(bufs[0])
     if tap_major:
-        d = dout.reshape(n, out_ch, -1)
-        parts = np.empty((-(-n // t), out_ch, k * k), dtype=dout.dtype)
-        prods = [np.empty((t, out_ch, k * k), dtype=dout.dtype) for _ in ranges]
+        parts = np.empty((-(-n // t), rows, in_ch * kh * kw), dtype=dout.dtype)
+        prods = [np.empty((t, rows, in_ch * kh * kw), dtype=dout.dtype) for _ in ranges]
+        douts = [np.empty((t, rows, ho * wo), dtype=dout.dtype) for _ in ranges] if r > 1 else None
 
         def work(i, lo, hi):
             for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
-                np.matmul(d[a:z], cols.transpose(0, 2, 1), out=prods[i][: z - a])
-                np.sum(prods[i][: z - a], axis=0, out=parts[a // t])
+                m = z - a
+                if r > 1:  # output row r*Y + p is phase p's source row Y
+                    d = douts[i][:m]
+                    by_phase = dout[a:z].reshape(m, out_ch, ho, r, wo).transpose(0, 3, 1, 2, 4)
+                    np.copyto(d.reshape(m, r, out_ch, ho, wo), by_phase)
+                else:
+                    d = dout[a:z].reshape(m, out_ch, -1)
+                np.matmul(d, cols.transpose(0, 2, 1), out=prods[i][:m])
+                np.sum(prods[i][:m], axis=0, out=parts[a // t])
 
     else:
-        parts = np.empty((-(-n // t), k * k * in_ch, out_ch), dtype=dout.dtype)
+        parts = np.empty((-(-n // t), kh * kw * in_ch, out_ch), dtype=dout.dtype)
         douts = [np.empty((t, ho, wo, out_ch), dtype=dout.dtype) for _ in ranges]
 
         def work(i, lo, hi):
@@ -370,117 +415,28 @@ def _conv_grad(xp: np.ndarray, dout: np.ndarray, k: int) -> np.ndarray:
     _run(work, ranges)
     del bufs
     dw = _tile_sum(parts)
-    if not tap_major:
-        dw = dw.reshape(k, k, in_ch, out_ch).transpose(3, 2, 0, 1)
-    return np.ascontiguousarray(dw).reshape(out_ch, in_ch, k, k)
-
-
-def _conv_rows(xs: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, r: int, pool_relu: bool = False) -> np.ndarray:
-    """``_conv`` of a batch whose rows repeat in aligned groups of ``r``, from its padded source rows.
-
-    ``xs`` is the batch's every r-th row as NHWC, padded by ``pad`` zero
-    columns and ceil(pad/r) zero rows each side; ``w`` is a "same" kernel
-    and ``b`` its bias.  The source rows are convolved with the kernel
-    expanded by ``_phase_map``: r * out GEMM rows, one block per output row
-    phase, each holding the sum of the kernel rows that read one source
-    row.  The product is (phase, out, pixel), so its scatter into the
-    output copies whole output rows.  With ``pool_relu`` each tile's rows
-    go into a tile buffer that is pooled, biased and rectified as in
-    ``_conv``.  The result equals ``_conv`` of the whole padded batch up to
-    rounding, and with ``pool_relu`` equals this function without it,
-    rectified and pooled, bit for bit.
-    """
-    out_ch, in_ch, k, _ = w.shape
-    pmap = _phase_map(k, pad, r)
-    kh = pmap.shape[2]
-    n, hsp, wp, _ = xs.shape
-    hs, wo = hsp - kh + 1, wp - k + 1
-    full = (n, out_ch, hs * r, wo)
-    out = np.empty(_pooled_shape(full) if pool_relu else full, dtype=xs.dtype)
-    bias = b.astype(xs.dtype)[:, None, None]
-    # (phase, out, kh, kw, in): each phase's kernel rows summed per source row offset
-    w2 = np.tensordot(pmap, w, ([1], [2])).transpose(0, 2, 1, 4, 3).reshape(r * out_ch, -1).astype(xs.dtype)
-    ranges, bufs = _tile_buffers(xs, k, r * out_ch, kh=kh)
-    prods = [np.empty(len(buf) * r * out_ch * hs * wo, dtype=xs.dtype) for buf in bufs]
-    fulls = [np.empty((len(buf), *full[1:]), dtype=xs.dtype) for buf in bufs] if pool_relu else None
-    halves = [np.empty((len(buf), out_ch, hs * r // 2, wo), dtype=xs.dtype) for buf in bufs] if pool_relu else None
-
-    def work(i, lo, hi):
-        for a, z, cols in _im2col_tiles(xs, lo, hi, bufs[i]):
-            m, y = z - a, out[a:z]
-            prod = prods[i][: r * out_ch * m * hs * wo].reshape(r * out_ch, -1)
-            np.matmul(w2, cols.T, out=prod)
-            rows = prod.reshape(r, out_ch, m, hs, wo).transpose(2, 1, 3, 0, 4)  # output row r*Y + phase
-            if pool_relu:
-                f, half = fulls[i][:m], halves[i][:m]
-                np.copyto(f.reshape(m, out_ch, hs, r, wo), rows)
-                pairs = half.reshape(m, out_ch, -1, wo // 2, 2).transpose(4, 0, 1, 2, 3)
-                _pool_relu_tile(f.reshape(m, out_ch, -1, 2, wo).transpose(0, 1, 3, 2, 4), half, pairs, bias, y)
-            else:
-                np.copyto(y.reshape(m, out_ch, hs, r, wo), rows)
-                y += bias  # after the scatter: a broadcast bias would slow its copy 1.5x
-
-    _run(work, ranges)
-    return out
-
-
-def _conv_rows_grad(xs: np.ndarray, dout: np.ndarray, k: int, pad: int, r: int) -> np.ndarray:
-    """The (out, in, k, k) weight gradient of ``_conv_rows`` of ``xs``, given output gradient ``dout``.
-
-    Each tile's output rows are gathered by phase into (phase, out, pixel)
-    for one GEMM with the tile's source im2col matrix; the summed phase
-    kernels fold back through the same 0/1 map that expanded them.
-    """
-    n, out_ch, ho, wo = dout.shape
-    in_ch, hs = xs.shape[3], ho // r
-    pmap = _phase_map(k, pad, r)
-    kh = pmap.shape[2]
-    ranges, bufs = _tile_buffers(xs, k, r * out_ch, kh=kh)
-    t = len(bufs[0])
-    parts = np.empty((-(-n // t), r * out_ch, kh * k * in_ch), dtype=dout.dtype)
-    douts = [np.empty(t * r * out_ch * hs * wo, dtype=dout.dtype) for _ in ranges]
-
-    def work(i, lo, hi):
-        for a, z, cols in _im2col_tiles(xs, lo, hi, bufs[i]):
-            m = z - a
-            d = douts[i][: r * out_ch * m * hs * wo].reshape(r, out_ch, m, hs, wo)
-            np.copyto(d, dout[a:z].reshape(m, out_ch, hs, r, wo).transpose(3, 1, 0, 2, 4))
-            np.matmul(d.reshape(r * out_ch, -1), cols, out=parts[a // t])
-
-    _run(work, ranges)
-    del bufs
-    dw = _tile_sum(parts).reshape(r, out_ch, kh, k, in_ch)
-    dw = np.tensordot(pmap.astype(dw.dtype), dw, ([0, 2], [0, 2]))  # (kernel row, out, kw, in)
-    return np.ascontiguousarray(dw.transpose(1, 3, 0, 2))
+    if tap_major:
+        return dw.reshape(rows, in_ch, kh, kw)
+    return np.ascontiguousarray(dw.reshape(kh, kw, in_ch, out_ch).transpose(3, 2, 0, 1))
 
 
 class Conv2d:
     """Stride-1 zero-padded convolution, lowered to im2col + GEMM per tile of samples.
 
-    The batch is padded into NHWC, and its im2col matrix is gathered one
-    tile of samples at a time (``_TILE_BYTES``, about one L2) into one reused
-    buffer per worker, so no whole-batch im2col matrix exists; for a
-    one-channel input the tiles are tap-major and the GEMM writes NCHW output
-    directly.  An inference forward with ``pool_relu`` also does the work of
-    the ReLU and 2x2 max pool that follow: the tiles' output rows are
-    gathered even rows first, each product is pooled in cache, and only the
-    quarter-size result is biased, rectified and written, bitwise equal to
-    the three layers in turn.  A training forward keeps only the padded
-    input; backward gathers its tiles again for one weight-gradient partial
-    per tile, summed in tile order.  The input gradient is the same tiled
-    convolution of the output gradient, padded by ``kernel - 1 - pad``, with
-    the kernel flipped and its input and output channels swapped; so ``pad``
-    must lie in ``0..kernel-1``.
-
-    When the layer pads "same" (``2 * pad == kernel - 1``) and the rows of
-    the batch repeat exactly in aligned groups of some r > 1, as the AP
-    tensor's do (``_row_repeat``, largest such r), only every r-th row is
-    padded, kept and gathered, and the conv runs on those source rows with
-    a kernel of r row phases (``_conv_rows``); the weight gradient folds
-    back (``_conv_rows_grad``).  Outputs and gradients equal the general
-    path's up to rounding; the fused forward, worker-count and tiling
-    guarantees hold on this path as on the general one, and a batch without
-    repetition takes the general path unchanged.
+    The padded batch's im2col matrix is gathered one tile of samples at a
+    time (``_TILE_BYTES``, about one L2) into one reused buffer per worker,
+    so no whole-batch im2col matrix exists.  ``_tap_major`` picks the
+    lowering.  When the layer pads "same" (``2 * pad == kernel - 1``) and the
+    batch's rows repeat in aligned groups of r > 1 (``_row_repeat``), only
+    every r-th row is padded, kept and gathered, and the kernel is expanded
+    to r row phases (``_phase_kernel``).  An inference forward with
+    ``pool_relu`` also does the work of the ReLU and 2x2 max pool that
+    follow.  A training forward keeps only the padded input; backward
+    gathers its tiles again for one weight-gradient partial per tile, summed
+    in tile order, and folds the phases back.  The input gradient is the same
+    tiled convolution of the output gradient, padded by ``kernel - 1 - pad``,
+    with the kernel flipped and its input and output channels swapped; so
+    ``pad`` must lie in ``0..kernel-1``.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int, rng):
@@ -499,31 +455,42 @@ class Conv2d:
     def params(self) -> dict:
         return {"w": self.w, "b": self.b}
 
+    def _phase_kernel(self, r: int) -> np.ndarray:
+        """The (r*out, in, kh, kernel) kernel ``_conv`` applies at row repeat ``r``: ``w`` itself at r = 1.
+
+        Block p sums, per source row offset, the kernel rows through which
+        output row phase p reads it.
+        """
+        if r == 1:
+            return self.w
+        out_ch, in_ch, k, _ = self.w.shape
+        w = np.tensordot(_phase_map(k, self.pad, r), self.w, ([1], [2]))  # (phase, offset, out, in, kw)
+        return w.transpose(0, 2, 3, 1, 4).reshape(r * out_ch, in_ch, -1, k)
+
     def forward(self, x: np.ndarray, train: bool = False, pool_relu: bool = False) -> np.ndarray:
         """The convolution; with ``pool_relu`` (inference only), 2x2-max-pooled and rectified too."""
         if train and pool_relu:
             raise ValueError("pool_relu is inference-only: backward needs each layer's own state")
         r = _row_repeat(x) if 2 * self.pad == self.kernel - 1 else 1
-        xp = _pad_nhwc(x[:, :, ::r], self.pad, -(-self.pad // r))
+        xp = _padded(x, self.pad, r)
         if train:
             self._xp, self._repeat = xp, r
-        if r > 1:
-            return _conv_rows(xp, self.w, self.b, self.pad, r, pool_relu)
-        return _conv(xp, self.w, self.b, pool_relu)
+        return _conv(xp, self._phase_kernel(r), self.b, pool_relu, r)
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Parameter gradients into ``_grads``; the input gradient unless ``need_dx`` is False."""
         xp, self._xp = self._xp, None
-        if self._repeat > 1:
-            dw = _conv_rows_grad(xp, dout, self.kernel, self.pad, self._repeat)
-        else:
-            dw = _conv_grad(xp, dout, self.kernel)
+        r, (out_ch, in_ch, k, _) = self._repeat, self.w.shape
+        dw = _conv_grad(xp, dout, in_ch, r)
         del xp
+        if r > 1:  # (phase, out, in, offset, kw) folded back to (out, in, kernel row, kw)
+            pmap = _phase_map(k, self.pad, r).astype(dw.dtype)
+            dw = np.tensordot(pmap, dw.reshape(r, out_ch, in_ch, -1, k), ([0, 2], [0, 3]))
+            dw = np.ascontiguousarray(dw.transpose(1, 2, 0, 3))
         self._grads = {"w": dw, "b": dout.sum(axis=(0, 2, 3))}
         if not need_dx:
             return None
-        k = self.kernel
-        return _conv(_pad_nhwc(dout, k - 1 - self.pad), self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        return _conv(_padded(dout, k - 1 - self.pad), self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 class Relu:
@@ -896,14 +863,21 @@ def _layer_from_spec(spec: dict, rng):
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
+def _read_exactly(fh, size: int, path, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated {what}")
+    return raw
+
+
 def load_model(path) -> CnnModel:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a model file")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", _read_exactly(fh, 8, path, "version and header length"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        header = json.loads(fh.read(hlen))
+        header = json.loads(_read_exactly(fh, hlen, path, "header"))
         rng = np.random.default_rng(0)
         layers = [_layer_from_spec(spec, rng) for spec in header["layers"]]
         model = CnnModel(
@@ -913,9 +887,7 @@ def load_model(path) -> CnnModel:
             layers,
         )
         for arr in _param_arrays(model):
-            raw = fh.read(arr.size * 8)
-            if len(raw) != arr.size * 8:
-                raise ValueError(f"{path}: truncated parameter payload")
+            raw = _read_exactly(fh, arr.size * 8, path, "parameter payload")
             arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")

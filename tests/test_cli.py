@@ -263,6 +263,27 @@ def test_eval_psnr_dir_without_a_psnr_split_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_manifest_exits_1_before_any_model(tmp_path, monkeypatch, capsys, command):
+    manifest = tmp_path / "manifest_test.json"
+    ds.save_manifest(ds.DatasetManifest("test", 0, ()), manifest)
+    model = tmp_path / "s.cnn"
+    nn.save_model(nn.build_model("S", width_scale=1 / 32), model)
+    for name in ("load_model", "train"):
+        monkeypatch.setattr(nn, name, lambda *a, **k: pytest.fail("a model was loaded or trained"))
+    out = tmp_path / "out"
+    if command == "train":
+        config = write_config(tmp_path / "train.json", {"variant": "S"})
+        argv = ["train", "--config", config, "--manifest", str(manifest), "--out", str(out)]
+    else:
+        argv = ["eval", "--model", str(model), "--manifest", str(manifest), "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(manifest) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc, code", [
     (RuntimeError("boom"), 2),
     (ValueError("boom"), 2),

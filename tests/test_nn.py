@@ -392,7 +392,7 @@ class TestTiling:
 
         def spy(xp, k, *rest):
             for lo, hi, cols in gather(xp, k, *rest):
-                tiles.append((xp.shape[-1], lo, hi))
+                tiles.append((xp.shape[1 if rest[-1] else -1], lo, hi))  # a tap-major xp is NCHW
                 yield lo, hi, cols
 
         # room for the im2col rows of exactly two samples of the input
@@ -438,7 +438,7 @@ class TestConvMemory:
         convs = [i for i, layer in enumerate(model.layers) if isinstance(layer, nn.Conv2d)]
         assert [h for h in held_arrays(model) if int(h.split(".")[0]) in convs] == [f"{i}._xp" for i in convs]
         first = model.layers[0]  # every fourth row, padded by ceil(5 / 4) rows and 5 columns
-        assert first._xp.shape == (3, 64 // 4 + 2 * 2, 64 + 2 * first.pad, 2)
+        assert first._xp.shape == (3, 2, 64 // 4 + 2 * 2, 64 + 2 * first.pad)
         nn.backward(model, x, np.arange(3) % 2)
         assert held_arrays(model) == []
         nn.forward(model, x)
@@ -720,8 +720,8 @@ class TestRowRepeat:
         # a source-row tile's im2col rows or its (r x 3)-column product, whichever is larger
         kh = 2 * -(-5 // r) + 1
         monkeypatch.setattr(nn, "_TILE_BYTES", tile_samples * (16 // r) * 12 * max(kh * 11 * 2, r * 3) * 4)
-        xs = nn._pad_nhwc(x[:, :, ::r], 5, -(-5 // r))
-        assert len(nn._tile_buffers(xs, 11, r * 3, kh=kh)[1][0]) == tile_samples
+        xs = nn._padded(x, 5, r)
+        assert len(nn._tile_buffers(xs, 11, r * 3, kh=kh, tap_major=True)[1][0]) == tile_samples
         results = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(nn, "_WORKERS", workers)
@@ -738,7 +738,7 @@ class TestRowRepeat:
         x, y = ap_batch(5, dtype=dtype), np.arange(5) % 2
         # conv1's tiles: 16 source rows x 64 columns of 5 x 11 x 2 taps per sample
         monkeypatch.setattr(nn, "_TILE_BYTES", tile_samples * 16 * 64 * 110 * x.itemsize)
-        assert len(nn._tile_buffers(nn._pad_nhwc(x[:, :, ::4], 5, 2), 11, 16, kh=5)[1][0]) == tile_samples
+        assert len(nn._tile_buffers(nn._padded(x, 5, 4), 11, 16, kh=5, tap_major=True)[1][0]) == tile_samples
         results = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(nn, "_WORKERS", workers)
@@ -800,8 +800,8 @@ class TestRowRepeat:
 
     @pytest.mark.parametrize("rows,r", [
         ([0, 0, 0, 0, 1, 1, 2, 2], 2),  # groups of 4 and of 2 both fit only 2
-        ([0, 0, 0, 1, 1, 1], 3),
-        ([5, 5, 5, 5, 5, 5], 6),
+        ([0, 0, 0, 1, 1, 1], 1),  # groups of 3: r is a power of two
+        ([5, 5, 5, 5, 5, 5], 2),
         ([0, 0, 1, 1, 1, 1], 2),
         ([0, 1], 1),
         ([0], 1),
@@ -809,6 +809,25 @@ class TestRowRepeat:
     def test_repeat_factor_is_the_largest_fitting_divisor(self, rows, r):
         x = np.asarray(rows, dtype=float)[None, None, :, None] * np.ones((2, 3, 1, 5))
         assert nn._row_repeat(x) == r
+
+    @pytest.mark.parametrize("group,r", [(3, 1), (6, 2)])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_rows_repeating_in_threes_and_sixes(self, monkeypatch, group, r, dtype, rtol):
+        # a fused pool pairs adjacent row phases, which needs an even r
+        rng = np.random.default_rng([group, 55])
+        layer = nn.Conv2d(2, 4, 5, 2, rng)
+        layer.b[...] = rng.standard_normal(4)
+        x = repeated_rows(rng, (3, 2, 24, 12), group, dtype)
+        assert nn._row_repeat(x) == r
+
+        def unfused_and_fused():
+            return nn.MaxPool2().forward(nn.Relu().forward(layer.forward(x))), layer.forward(x, pool_relu=True)
+
+        unfused, fused = unfused_and_fused()
+        assert np.array_equal(fused, unfused)
+        monkeypatch.setattr(nn, "_row_repeat", lambda x: 1)
+        want, _ = unfused_and_fused()
+        assert close([unfused, fused], [want, want], rtol)
 
     def test_nan_rows_never_repeat(self):
         x = np.full((2, 1, 4, 3), np.nan)
@@ -1010,4 +1029,12 @@ class TestSerialization:
         nn.save_model(model, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("cut", [10, 20])  # inside the version/length field; inside the JSON header
+    def test_truncated_header_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "m.cnn"
+        nn.save_model(nn.build_model("A", width_scale=0.1, seed=0), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
             nn.load_model(path)
