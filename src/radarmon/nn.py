@@ -11,12 +11,17 @@ whose input has one channel, or whose batch repeats its rows, pads NCHW
 and gathers tap-major tiles, so its GEMM writes whole NCHW output rows;
 every other conv pads NHWC and gathers channels-last tiles, whose product
 is transposed into the output while in cache.  Max pooling is 2x2 with
-deterministic first-maximum tie-breaking.  A fused inference forward runs
-each conv -> ReLU -> max-pool triple as one pass: every tile's product is
-pooled while it is in cache, then biased and rectified, so no
-full-resolution activation is written, and the result equals the
-layer-by-layer forward bit for bit.  The classifier head is a two-way
-softmax trained with cross-entropy under SGD with momentum and weight decay.
+deterministic first-maximum tie-breaking.  A block that pools does so
+before its ReLU: max commutes with ReLU, and a window's first maximum
+passes gradient exactly when it is positive, so outputs and gradients are
+those of ReLU then pool bit for bit, while the ReLU touches a quarter of
+the data.  A fused inference forward runs each conv -> max-pool -> ReLU
+triple (or a conv -> ReLU -> max-pool one, as older model files hold) as
+one pass: every tile's product is pooled while it is in cache, then biased
+and rectified, so no full-resolution activation is written, and the result
+equals the layer-by-layer forward bit for bit.  The classifier head is a
+two-way softmax trained with cross-entropy under SGD with momentum and
+weight decay.
 
 A "same"-padded conv whose batch repeats every row exactly in aligned
 groups of r > 1 (r a power of two), as the AP tensor's rows repeat in
@@ -46,8 +51,9 @@ thread counts).  The calling thread allocates every buffer the workers
 write into.  The worker threads do not survive ``fork``, so a child process
 starts its own pool on first use.
 
-Four model variants share one conv stack (kernels 11, 5, 3, 3, 3 with a
-ReLU after each conv and 2x2 max pools after convs 1, 2, 3 and 5):
+Four model variants share one conv stack (kernels 11, 5, 3, 3, 3; convs
+1, 2, 3 and 5 are each followed by a 2x2 max pool and then a ReLU, conv 4
+by a ReLU alone):
 S takes a 1x64x64 spectrogram, AP the 2x64x64 amplitude+phase stack, and
 A / P a 1x32x32 reshape of the respective 1024-vector.  ``width_scale``
 shrinks every conv width proportionally for CPU-friendly experiments.
@@ -273,8 +279,8 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
     2x2-max-pooled while it is in cache (at r > 1 a window's two rows are
     phases 2j and 2j + 1), then biased and rectified, so the full-resolution
     output never exists.  Max commutes with ReLU and, because rounding is
-    monotone, with the bias add; so the result equals conv, ReLU and pool in
-    turn bit for bit.
+    monotone, with the bias add; so the result equals conv, pool and ReLU
+    (or conv, ReLU and pool) in turn bit for bit.
     """
     rows, in_ch, kh, kw = w.shape
     out_ch = rows // r
@@ -538,7 +544,12 @@ class MaxPool2:
     """2x2 max pooling, stride 2; ties route the gradient to the first maximum.
 
     A training forward keeps one byte per output: the index in
-    ``_POOL_WINDOW`` of the window element the gradient goes to.
+    ``_POOL_WINDOW`` of the window element the gradient goes to.  It is
+    formed without branches, in contiguous uint8 passes, as
+    ``max(first, later * (second + 2))``: ``first`` and ``second`` are the
+    winners (0 or 1) of the top and bottom pairs, ``later`` is 1 where the
+    bottom pair's max beats the top one's, and any ``second + 2`` exceeds
+    ``first``.
     """
 
     def spec(self) -> dict:
@@ -568,7 +579,9 @@ class MaxPool2:
                     np.greater(b, a, out=first)
                     np.greater(d, c, out=second)
                     np.greater(bottom, o, out=later)
-                    np.add(second, 2, out=first, where=later)
+                    second += 2
+                    np.multiply(second, later.view(np.uint8), out=second)
+                    np.maximum(first, second, out=first)
                 np.maximum(o, bottom, out=o)
 
         _run(work, ranges)
@@ -652,7 +665,11 @@ class CnnModel:
 
 
 def build_model(variant: str, width_scale: float = 1.0, seed=0) -> CnnModel:
-    """Assemble an initialized classifier for one of the S/A/P/AP variants."""
+    """Assemble an initialized classifier for one of the S/A/P/AP variants.
+
+    A pooled block is Conv2d -> MaxPool2 -> Relu, so its ReLU runs on the
+    quarter-size pooled activation (see the module docstring).
+    """
     if variant not in INPUT_SHAPES:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(INPUT_SHAPES)}")
     rng = np.random.default_rng(seed)
@@ -662,10 +679,10 @@ def build_model(variant: str, width_scale: float = 1.0, seed=0) -> CnnModel:
     for width, kernel, pool in zip(CONV_WIDTHS, CONV_KERNELS, POOL_AFTER):
         out_ch = max(1, round(width * width_scale))
         layers.append(Conv2d(ch, out_ch, kernel, kernel // 2, rng))
-        layers.append(Relu())
         if pool:
             layers.append(MaxPool2())
             side //= 2
+        layers.append(Relu())
         ch = out_ch
     layers.append(Dense(ch * side * side, DENSE_WIDTH, rng))
     layers.append(Relu())
@@ -689,9 +706,10 @@ def forward(model: CnnModel, x: np.ndarray, train: bool = False, fused: bool = F
     """Class probabilities; index 0 is P(radar present).
 
     Every layer's ``forward`` runs in turn, unless ``fused`` (inference
-    only): then each Conv2d -> Relu -> MaxPool2 triple runs as one conv pass
-    that never writes the full-resolution activation, and the triple's Relu
-    and MaxPool2 are not called.  The probabilities are the same bit for bit.
+    only): then each Conv2d followed by a MaxPool2 and a Relu, in either
+    order, runs as one conv pass that never writes the full-resolution
+    activation, and the triple's MaxPool2 and Relu are not called.  The
+    probabilities are the same bit for bit.
     """
     if train and fused:
         raise ValueError("fused is inference-only: backward needs each layer's own state")
@@ -700,7 +718,8 @@ def forward(model: CnnModel, x: np.ndarray, train: bool = False, fused: bool = F
     layers, i = model.layers, 0
     while i < len(layers):
         layer = layers[i]
-        triple = fused and [type(later) for later in layers[i : i + 3]] == [Conv2d, Relu, MaxPool2]
+        after = {type(later) for later in layers[i + 1 : i + 3]}
+        triple = fused and type(layer) is Conv2d and after == {MaxPool2, Relu}
         if triple:
             out = layer.forward(out, pool_relu=True)
         elif isinstance(layer, Relu) and out is not batch:  # an intermediate nothing reads again

@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import multiprocessing
@@ -344,6 +345,21 @@ class TestMaxPool:
         pool.forward(x, train=True)
         np.testing.assert_array_equal(pool.backward(np.ones((1, 1, 1, 1))), [[[[0.0, 0.0], [1.0, 0.0]]]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_code_is_the_first_maximum_on_ties(self, monkeypatch, dtype):
+        rng = np.random.default_rng(17)
+        x = rng.integers(-2, 3, (12, 3, 8, 8)).astype(dtype)  # about one window in three ties for its max
+        x[:, 1, :4] = 1.0  # all-equal windows
+        x[5] = 0.0
+        windows = np.stack([x[:, :, i::2, j::2] for i, j in nn._POOL_WINDOW])
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(nn, "_TILE_BYTES", 2 * x[:1].nbytes)  # blocks of 2 samples: each range runs several
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            pool = nn.MaxPool2()
+            assert np.array_equal(pool.forward(x, train=True), windows.max(axis=0))
+            assert np.array_equal(pool._code, np.argmax(windows, axis=0)), workers  # argmax takes the first
+
     @pytest.mark.parametrize("h,w", [(5, 4), (4, 5)])
     @pytest.mark.parametrize("fused", [True, False])  # the fused conv pass, then the pool layer
     def test_odd_size_is_rejected_not_floored(self, h, w, fused):
@@ -446,11 +462,11 @@ class TestConvMemory:
         assert held_arrays(model) == []
 
     def test_full_width_training_step_peak_on_ap_tensors(self):
-        # 58 MiB at the change that added it: relu1's backward, two 25 MiB
-        # conv1-sized gradients, sets the peak
+        # 35 MiB when this bound was set: with the ReLU after the pool, no
+        # two 25 MiB conv1-sized gradients are alive at once
         model = nn.build_model("AP", seed=0)
         x = ap_batch(50)
-        assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 64
+        assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 45
 
     def test_full_width_ap_conv1_peaks_on_ap_tensors(self):
         # the 25 MiB output plus a few MiB of tiles per worker; a whole-batch
@@ -471,8 +487,8 @@ class TestConvMemory:
         assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 150
 
     def test_inference_relu_overwrites_its_input(self):
-        # conv1's 100 MiB output is rectified in place, so the peak is that
-        # output plus pool1's 25 MiB, not two conv1 outputs
+        # the peak is conv1's 100 MiB output plus pool1's 25 MiB, which the
+        # ReLU rectifies in place
         model = nn.build_model("S", seed=0)
         x = np.zeros((200, 1, 64, 64), dtype=np.float32)
         assert traced_peak_mb(nn.forward, model, x) < 150
@@ -632,7 +648,7 @@ def largest_im2col_sample_bytes(model, itemsize):
 
 
 class TestFusedInference:
-    """A fused forward runs each conv -> ReLU -> pool triple as one tiled pass, bitwise equal to the three layers."""
+    """A fused forward runs each conv -> pool -> ReLU triple as one tiled pass, bitwise equal to the three layers."""
 
     @pytest.mark.parametrize("variant", ["S", "AP", "A", "P"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -669,6 +685,70 @@ class TestFusedInference:
             conv.forward(np.zeros((1, 1, 4, 4)), train=True, pool_relu=True)
         with pytest.raises(ValueError, match="inference"):
             nn.forward(nn.build_model("A", width_scale=1 / 8), np.zeros((1, 1, 32, 32)), train=True, fused=True)
+
+
+def relu_first_order(model):
+    """A copy of ``model`` whose pooled blocks run Conv2d -> Relu -> MaxPool2, the order of older model files."""
+    layers = copy.deepcopy(model.layers)
+    for i in [i for i, layer in enumerate(layers) if isinstance(layer, nn.MaxPool2)]:
+        layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return nn.CnnModel(model.variant, model.input_shape, model.width_scale, layers)
+
+
+class TestBlockOrder:
+    """A block that pools before its ReLU computes what one that rectifies first does, gradients included, bit for bit."""
+
+    def test_relu_first_model_file_loads_fuses_and_scores_the_same(self, monkeypatch, tmp_path):
+        model = nn.build_model("S", width_scale=1 / 8, seed=3)
+        path = tmp_path / "relu_first.cnn"
+        nn.save_model(relu_first_order(model), path)
+        old = nn.load_model(path)
+        kinds = [layer.spec()["kind"] for layer in old.layers]
+        assert kinds[:7] == ["conv", "relu", "maxpool", "conv", "relu", "maxpool", "conv"]
+        x = np.random.default_rng(18).standard_normal((3, *model.input_shape))
+        want = nn.forward(model, x)
+        assert np.array_equal(nn.forward(model, x, fused=True), want)
+        calls = []
+        conv_forward = nn.Conv2d.forward
+
+        def spy(layer, x, train=False, pool_relu=False):
+            calls.append(pool_relu)
+            return conv_forward(layer, x, train, pool_relu)
+
+        monkeypatch.setattr(nn.Conv2d, "forward", spy)
+        assert np.array_equal(nn.forward(old, x, fused=True), want)
+        assert calls == list(nn.POOL_AFTER)
+        assert np.array_equal(nn.forward(old, x), want)
+
+    @pytest.mark.parametrize("variant", ["S", "A", "P", "AP"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_and_training_equal_the_relu_first_order(self, monkeypatch, variant, dtype):
+        monkeypatch.setattr(nn, "_MIN_RANGE_BYTES", 1)  # split every pass, however small
+        model = nn.build_model(variant, width_scale=1 / 8, seed=4)
+        old = relu_first_order(model)
+        rng = np.random.default_rng(19)
+        shape = (4, *model.input_shape)
+        batches = [rng.standard_normal(shape), np.zeros(shape), np.round(2 * rng.standard_normal(shape))]
+        y = np.arange(4) % 2
+        build = nn.build_model
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            for x in batches:
+                x = x.astype(dtype)
+                (g_new, loss_new), (g_old, loss_old) = nn.backward(model, x, y), nn.backward(old, x, y)
+                assert loss_new == loss_old
+                assert [sorted(g) for g in g_new] == [sorted(g) for g in g_old]
+                assert all(np.array_equal(a[k], b[k]) for a, b in zip(g_new, g_old) for k in a)
+                trained, second = [], []
+                for order in (lambda m: m, relu_first_order):
+                    monkeypatch.setattr(nn, "build_model", lambda *a, **k: order(build(*a, **k)))
+                    m, losses = nn.train(variant, (x, y), {"total_iterations": 3, "batch_size": 2}, seed=5,
+                                         width_scale=1 / 8)
+                    trained.append([losses, *(p for d in m.params() for _, p in sorted(d.items()))])
+                    second.append(type(m.layers[1]))
+                monkeypatch.setattr(nn, "build_model", build)
+                assert second == [nn.MaxPool2, nn.Relu]
+                assert all(np.array_equal(a, b) for a, b in zip(*trained))
 
 
 def repeated_rows(rng, shape, r, dtype=np.float64):
