@@ -118,6 +118,13 @@ class ScenarioConfig:
         shortest = min(CHUNK_LEN, min(round(w.pw_s * self.sample_rate_hz) for w in self.waveforms))
         require(self.min_visible_samples <= shortest,
                 f"min_visible_samples must not exceed the shortest pulse or the chunk: {shortest} samples")
+        # A radar window is drawn around pulse 1's dispersed span, which must
+        # not reach the next pulse (rounding and TOA jitter included).
+        gap = (max(round(w.pw_s * self.sample_rate_hz) for w in self.waveforms)
+               + self.multipath_delay_range[1] + 2 * radar.Jitter().toa_samples + 1)
+        require(round(self.pri_s * self.sample_rate_hz) >= gap,
+                f"pri_s must span at least {gap} samples: the longest pulse, the largest "
+                "multipath delay and the TOA jitter, so that pulses stay apart")
         min_burst_s = emitters.WlanParams().burst_len_s[0]
         require(SU_SPAN / self.sample_rate_hz > min_burst_s,
                 f"sample_rate_hz must be below {SU_SPAN / min_burst_s:g} Hz, so the {SU_SPAN}-sample "
@@ -183,6 +190,13 @@ def _radar_window(cfg: ScenarioConfig, rng, waveform: WaveformSpec, offset_hz: f
     Windowing the second pulse (not the first, which sits at the stream
     head) lets the pulse land anywhere in the chunk, including partially
     clipped at either edge.
+
+    The window start is drawn from the pulse schedule, and only the window
+    plus the multipath delay before it is rendered, never the whole train.
+    The result is the window of the whole train after multipath, bit for
+    bit: the draws (train seed, multipath magnitude, delay, phase, window
+    start) are the same, and the history the window drops is what its
+    first samples' delayed tap reads.
     """
     fs = cfg.sample_rate_hz
     params = radar.RadarParams(
@@ -193,22 +207,29 @@ def _radar_window(cfg: ScenarioConfig, rng, waveform: WaveformSpec, offset_hz: f
         amplitude=cfg.radar_peak_amplitude,
     )
     margin_s = (CHUNK_LEN + round(waveform.pw_s * fs) + 64) / fs
-    stream = radar.synth_pulse_train(
-        params, cfg.pri_s + margin_s, fs, seed=rng.integers(2**63)
-    )
+    duration_s = cfg.pri_s + margin_s
+    n_total = int(round(duration_s * fs))
+    seed = rng.integers(2**63)
+    toa, length, _ = radar.pulse_schedule(params, n_total, fs, seed)[1]
+    taps = None
     if use_multipath:
         mag = rng.uniform(*cfg.multipath_mag_range)
         if mag > 0:
             delay = int(rng.integers(cfg.multipath_delay_range[0], cfg.multipath_delay_range[1] + 1))
             phase = rng.uniform(0, 2 * np.pi)
-            stream = apply_multipath(stream, ((0, 1.0 + 0j), (delay, mag * np.exp(1j * phase))))
-    ann = stream.annotations[1]
+            taps = ((0, 1.0 + 0j), (delay, mag * np.exp(1j * phase)))
+    max_delay = taps[1][0] if taps else 0
+    length = min(length + max_delay, n_total - toa)  # the pulse's dispersed span
     vis = cfg.min_visible_samples
-    lo = max(0, ann.start_idx + vis - CHUNK_LEN)
-    hi = min(len(stream) - CHUNK_LEN, ann.start_idx + ann.length - vis)
+    lo = max(0, toa + vis - CHUNK_LEN)
+    hi = min(n_total - CHUNK_LEN, toa + length - vis)
     start = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+    first = max(0, start - max_delay)
+    stream = radar.synth_pulse_train(params, duration_s, fs, seed=seed, span=(first, start + CHUNK_LEN))
+    if taps:
+        stream = apply_multipath(stream, taps)
     meta = {"waveform": waveform.name, "carrier_offset_hz": offset_hz}
-    return stream_window(stream, start, CHUNK_LEN), meta
+    return stream_window(stream, start - first, CHUNK_LEN), meta
 
 
 def _su_window(cfg: ScenarioConfig, rng, kind: str, power: float, prefer_burst: bool) -> SampleStream:

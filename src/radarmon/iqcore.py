@@ -171,7 +171,7 @@ def stream_window(stream: SampleStream, start: int, length: int) -> SampleStream
         if hi > lo:
             anns.append(PulseAnnotation(lo - start, hi - lo, ann.emitter))
     return SampleStream(
-        samples=stream.samples[start : start + length].copy(),
+        samples=stream.samples[start : start + length],  # SampleStream copies it
         sample_rate_hz=stream.sample_rate_hz,
         annotations=tuple(anns),
     )

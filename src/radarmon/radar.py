@@ -9,6 +9,11 @@ The pulse shape ``p`` carries the intra-pulse modulation (constant carrier,
 linear frequency sweep, or Barker binary phase code).  Channel dispersion
 is applied separately by the channel module so the annotations here remain
 exact ground truth.
+
+``pulse_schedule`` draws each pulse's TOA and amplitude from the train's
+seed.  ``synth_pulse_train`` renders the whole stream from it, or only a
+``span`` of it: a dataset chunk keeps 1,024 samples of a ~21,000-sample
+train, and the span renders those bit for bit as the whole stream would.
 """
 
 from __future__ import annotations
@@ -96,39 +101,69 @@ def synth_pulse(ipm: Ipm, pw_s: float, fs_hz: float) -> np.ndarray:
     raise TypeError(f"unknown IPM {ipm!r}")
 
 
-def synth_pulse_train(
-    params: RadarParams, duration_s: float, fs_hz: float, seed=0
-) -> SampleStream:
-    """Generate a radar stream of the given duration with per-pulse annotations."""
-    if duration_s < params.pri_s:
-        raise ValueError("duration must cover at least one PRI")
+def pulse_schedule(
+    params: RadarParams, n_total: int, fs_hz: float, seed=0
+) -> list[tuple[int, int, float]]:
+    """(TOA, kept length, amplitude) of each pulse of an ``n_total``-sample train.
+
+    Pulse ``m`` sits at ``m * PRI`` plus a uniform TOA jitter, clamped at 0,
+    and its amplitude carries a uniform fractional jitter; both are drawn
+    from ``default_rng(seed)``, TOA then amplitude, pulse by pulse.  The
+    kept length is the pulse's sample count, cut at the stream end.
+    """
     rng = np.random.default_rng(seed)
-    n_total = int(round(duration_s * fs_hz))
-    pulse = synth_pulse(params.ipm, params.pw_s, fs_hz)
-    n_pulse = pulse.size
-    out = np.zeros(n_total, dtype=np.complex128)
-    annotations = []
-    m = 0
+    n_pulse = int(round(params.pw_s * fs_hz))
     jit = params.jitter
+    schedule = []
+    m = 0
     while True:
         toa = int(round(m * params.pri_s * fs_hz))
         if jit.toa_samples:
             toa += int(rng.integers(-jit.toa_samples, jit.toa_samples + 1))
         toa = max(toa, 0)
         if toa >= n_total:
-            break
+            return schedule
         amp = params.amplitude
         if jit.amplitude_frac:
             amp *= 1.0 + rng.uniform(-jit.amplitude_frac, jit.amplitude_frac)
-        n_fit = min(n_pulse, n_total - toa)
-        out[toa : toa + n_fit] += amp * pulse[:n_fit]
-        annotations.append(PulseAnnotation(toa, n_fit, Emitter.RADAR))
+        schedule.append((toa, min(n_pulse, n_total - toa), amp))
         m += 1
+
+
+def synth_pulse_train(
+    params: RadarParams, duration_s: float, fs_hz: float, seed=0,
+    span: tuple[int, int] | None = None,
+) -> SampleStream:
+    """Generate a radar stream of the given duration with per-pulse annotations.
+
+    With ``span=(lo, hi)`` only samples ``lo .. hi - 1`` of that stream are
+    rendered, with annotations clipped to the span and re-based to ``lo``.
+    The result equals ``stream_window(synth_pulse_train(...), lo, hi - lo)``
+    bit for bit: every sample goes through the same elementwise operations,
+    with the carrier rotation evaluated at the absolute sample index.
+    """
+    if duration_s < params.pri_s:
+        raise ValueError("duration must cover at least one PRI")
+    if abs(params.carrier_offset_hz) >= fs_hz / 2:
+        raise ValueError("carrier offset must be below Nyquist")
+    n_total = int(round(duration_s * fs_hz))
+    lo, hi = (0, n_total) if span is None else span
+    if not 0 <= lo < hi <= n_total:
+        raise ValueError(f"span {span} must satisfy 0 <= lo < hi <= n_total = {n_total}")
+    pulse = synth_pulse(params.ipm, params.pw_s, fs_hz)
+    out = np.zeros(hi - lo, dtype=np.complex128)
+    annotations = []
+    for toa, n_fit, amp in pulse_schedule(params, n_total, fs_hz, seed):
+        a, b = max(toa, lo), min(toa + n_fit, hi)
+        if b > a:
+            out[a - lo : b - lo] += amp * pulse[a - toa : b - toa]
+            annotations.append(PulseAnnotation(a - lo, b - a, Emitter.RADAR))
     if params.carrier_offset_hz:
-        if abs(params.carrier_offset_hz) >= fs_hz / 2:
-            raise ValueError("carrier offset must be below Nyquist")
-        n = np.arange(n_total)
-        out *= np.exp(2j * np.pi * n * params.carrier_offset_hz / fs_hz)
+        n = np.arange(lo, hi)
+        # With FMA a complex product's bits depend on the operand order, which
+        # `*` and `*=` may swap (temporary reuse, one-element arrays); the
+        # explicit call keeps (pulse, carrier) at every length.
+        out = np.multiply(out, np.exp(2j * np.pi * n * params.carrier_offset_hz / fs_hz))
     return SampleStream(
         samples=out, sample_rate_hz=fs_hz, annotations=tuple(annotations)
     )

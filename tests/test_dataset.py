@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from radarmon import dataset as ds
-from radarmon.iqcore import SampleStream, as_chunk, as_stream, make_chunk, write_iq_file
-from radarmon.radar import Pc, synth_pulse
+from radarmon.channel import apply_multipath
+from radarmon.iqcore import SampleStream, as_chunk, as_stream, make_chunk, stream_window, write_iq_file
+from radarmon.radar import Pc, RadarParams, synth_pulse, synth_pulse_train
 
 FS = 20e6
 
@@ -97,11 +99,67 @@ class TestScenarioGeneration:
         with pytest.raises(ValueError, match="psnr_range_db"):
             small_config(psnr_range_db=(20.0, 10.0))
 
+    def test_pri_must_keep_dispersed_pulses_apart(self):
+        # 200-sample pulses, 990 samples of delay and 5 of jitter and rounding: 1,195 > 1,000
+        with pytest.raises(ValueError, match="pri_s must span at least 1195 samples"):
+            small_config(pri_s=50e-6, multipath_delay_range=(0, 990))
+        assert small_config(pri_s=59.75e-6, multipath_delay_range=(0, 990)).pri_s == 59.75e-6
+
     def test_min_visible_bounded_by_the_chunk_for_a_long_pulse(self):
         long_pulse = ds.WaveformSpec("pc100", Pc(), 100e-6)  # 2000 samples at 20 MHz
         assert small_config(waveforms=(long_pulse,), min_visible_samples=1024).min_visible_samples == 1024
         with pytest.raises(ValueError, match="the chunk: 1024 samples"):
             small_config(waveforms=(long_pulse,), min_visible_samples=1025)
+
+
+def full_train_window(cfg, rng, waveform, offset_hz, use_multipath=True):
+    """Reference radar window: the whole short train is rendered and dispersed,
+    then cut.  The same draws in the same order as ``ds._radar_window``."""
+    fs = cfg.sample_rate_hz
+    params = RadarParams(ipm=waveform.ipm, pw_s=waveform.pw_s, pri_s=cfg.pri_s,
+                         carrier_offset_hz=offset_hz, amplitude=cfg.radar_peak_amplitude)
+    margin_s = (1024 + round(waveform.pw_s * fs) + 64) / fs
+    stream = synth_pulse_train(params, cfg.pri_s + margin_s, fs, seed=rng.integers(2**63))
+    if use_multipath:
+        mag = rng.uniform(*cfg.multipath_mag_range)
+        if mag > 0:
+            delay = int(rng.integers(cfg.multipath_delay_range[0], cfg.multipath_delay_range[1] + 1))
+            phase = rng.uniform(0, 2 * np.pi)
+            stream = apply_multipath(stream, ((0, 1.0 + 0j), (delay, mag * np.exp(1j * phase))))
+    ann = stream.annotations[1]
+    vis = cfg.min_visible_samples
+    lo = max(0, ann.start_idx + vis - 1024)
+    hi = min(len(stream) - 1024, ann.start_idx + ann.length - vis)
+    start = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+    return stream_window(stream, start, 1024), {"waveform": waveform.name, "carrier_offset_hz": offset_hz}
+
+
+class TestRadarWindow:
+    CONFIGS = {
+        "delay-from-0": dict(multipath_delay_range=(0, 3)),
+        "strong-multipath": dict(multipath_delay_range=(5, 40), multipath_mag_range=(0.3, 0.9),
+                                 min_visible_samples=40),
+        "no-multipath": dict(multipath_mag_range=(0.0, 0.0)),
+        # 1,000-sample PRI: pulse 2 lies in the train, and a window may start
+        # before the delay, with no history to render
+        "short-pri": dict(waveforms=ds.TABLE_WAVEFORMS[:1], pri_s=50e-6, multipath_delay_range=(0, 900)),
+    }
+
+    @pytest.mark.parametrize("use_multipath", [True, False], ids=["multipath", "plain"])
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_window_is_cut_from_the_whole_train(self, name, use_multipath):
+        cfg = small_config(**self.CONFIGS[name])
+        cases = itertools.product(cfg.waveforms, ds.CARRIER_OFFSETS_HZ, range(4))
+        for index, (waveform, offset, _) in enumerate(cases):
+            ra, rb = (ds._entry_rng(cfg.seed, "test", index) for _ in range(2))
+            got, meta = ds._radar_window(cfg, ra, waveform, offset, use_multipath)
+            want, want_meta = full_train_window(cfg, rb, waveform, offset, use_multipath)
+            case = (waveform.name, offset, index)
+            # bytes, so that a -0.0 against a 0.0 counts as a difference
+            assert got.samples.tobytes() == want.samples.tobytes(), case
+            assert got.annotations == want.annotations, case
+            assert meta == want_meta
+            assert ra.bit_generator.state == rb.bit_generator.state, case  # the same draws
 
 
 class TestBuildDataset(object):
@@ -119,12 +177,15 @@ class TestBuildDataset(object):
         assert again == built.train
 
     def test_rebuild_is_byte_identical(self, tmp_path):
+        # the second build runs in a two-process pool: the bytes must not depend on it
         cfg = small_config(train_per_class=3, test_per_class=2, seed=32)
-        ds.build_dataset(cfg, tmp_path / "a")
-        ds.build_dataset(cfg, tmp_path / "b")
-        for rel in ("manifest_train.json", "manifest_test.json",
-                    "chunks/train_000000.iq", "chunks/test_000003.iq"):
-            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+        ds.build_dataset(cfg, tmp_path / "a", workers=1)
+        ds.build_dataset(cfg, tmp_path / "b", workers=2)
+        files = {side: sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*")
+                              if p.is_file()) for side in ("a", "b")}
+        assert files["a"] == files["b"] and len(files["a"]) == 2 + 2 * 10
+        for rel in files["a"]:
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
     def test_chunk_stream_round_trip_preserves_mask(self, tmp_path):
         cfg = small_config(seed=33)

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+from radarmon import radar
+from radarmon.iqcore import stream_window
 from radarmon.radar import (
     BARKER13,
     BarkerPm,
@@ -8,6 +12,7 @@ from radarmon.radar import (
     Lfm,
     Pc,
     RadarParams,
+    pulse_schedule,
     synth_pulse,
     synth_pulse_train,
 )
@@ -138,3 +143,60 @@ class TestParamValidation:
     def test_barker_code_entries(self):
         with pytest.raises(ValueError):
             BarkerPm(code=(1, 0, -1))
+
+
+def span_cases(full):
+    """Spans of ``full``: at its head, at its tail, clipping pulse 1 at either
+    edge, holding no pulse, one sample, and the whole stream."""
+    n_total = len(full)
+    ann = full.annotations[1]
+    return [
+        (0, 1024),
+        (n_total - 1024, n_total),
+        (ann.start_idx + 3, ann.start_idx + 1027),
+        (ann.end_idx - 1021, ann.end_idx - 3),
+        (5001, 6024),
+        (ann.start_idx + 7, ann.start_idx + 8),
+        (0, n_total),
+    ]
+
+
+class TestSpan:
+    """A span renders exactly the window of the whole stream."""
+
+    @pytest.mark.parametrize("ipm, pw", [(Pc(), 2e-6), (Lfm(4e6), 10e-6), (BarkerPm(), 10e-6)],
+                             ids=["pc2", "lfm10", "barker13"])
+    @pytest.mark.parametrize("offset", [0.0, 3e6, -3e6, -6e6])
+    @pytest.mark.parametrize("jitter", [Jitter(), Jitter(0.0, 0)], ids=["jitter", "no-jitter"])
+    def test_span_is_the_window_of_the_whole_stream(self, ipm, pw, offset, jitter):
+        params = RadarParams(ipm=ipm, pw_s=pw, pri_s=1e-3, carrier_offset_hz=offset, jitter=jitter)
+        full = synth_pulse_train(params, 3e-3, FS, seed=11)
+        assert len(full) == 60000
+        for lo, hi in span_cases(full):
+            got = synth_pulse_train(params, 3e-3, FS, seed=11, span=(lo, hi))
+            want = stream_window(full, lo, hi - lo)
+            # bytes, not array_equal, which takes -0.0 for 0.0: a zero rotated
+            # by a carrier with a negative cosine or sine part is -0.0
+            assert got.samples.tobytes() == want.samples.tobytes(), (lo, hi)
+            assert got.annotations == want.annotations, (lo, hi)
+
+    def test_schedule_places_the_rendered_pulses(self):
+        params = RadarParams(ipm=Pc(), pw_s=2e-6, pri_s=1e-3)
+        full = synth_pulse_train(params, 3e-3, FS, seed=5)
+        schedule = pulse_schedule(params, len(full), FS, seed=5)
+        assert [(a.start_idx, a.length) for a in full.annotations] == [(t, n) for t, n, _ in schedule]
+        for ann, (_, _, amp) in zip(full.annotations, schedule):
+            np.testing.assert_array_equal(full.samples[ann.start_idx : ann.end_idx], amp)
+
+    @pytest.mark.parametrize("span", [(-1, 10), (10, 10), (20, 10), (59000, 60001)])
+    def test_span_outside_the_stream_rejected_before_work(self, span, monkeypatch):
+        monkeypatch.setattr(radar, "synth_pulse", None)  # any rendering would fail on it
+        params = no_jitter_params(Pc(), 2e-6)
+        with pytest.raises(ValueError, match=re.escape(f"span {span} must satisfy 0 <= lo < hi <= n_total = 60000")):
+            synth_pulse_train(params, 3e-3, FS, span=span)
+
+    def test_carrier_offset_checked_before_work(self, monkeypatch):
+        monkeypatch.setattr(radar, "synth_pulse", None)
+        params = no_jitter_params(Pc(), 2e-6, carrier_offset_hz=10e6)
+        with pytest.raises(ValueError, match="Nyquist"):
+            synth_pulse_train(params, 3e-3, FS)
