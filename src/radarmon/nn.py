@@ -4,13 +4,20 @@ Activations are NCHW.  Each layer computes in the dtype of the batch it is
 given: float32 stays float32 (training and evaluation use it), anything else
 runs in float64.  Parameters and momentum are float64 master copies, cast
 to the batch dtype on every call.  Convolutions are stride-1 and
-zero-padded, lowered to matrix products with im2col one cache-sized tile of
-samples at a time, so no whole-batch patch matrix is ever built; the input
-gradient is itself such a convolution.  There are two lowerings.  A conv
-whose input has one channel, or whose batch repeats its rows, pads NCHW
-and gathers tap-major tiles, so its GEMM writes whole NCHW output rows;
-every other conv pads NHWC and gathers channels-last tiles, whose product
-is transposed into the output while in cache.  Max pooling is 2x2 with
+zero-padded, lowered to matrix products one cache-sized tile of samples at
+a time, so no whole-batch patch matrix is ever built; the input gradient is
+itself such a convolution.  The forward and the input gradient gather each
+padded row's kw horizontal taps once, as strips: kw copies of the input,
+not the kh*kw of an im2col matrix.  Output row y's patches are then the kh
+strips from row y on, so one GEMM per output row reads them in place
+through an overlapping view (MEC: Cho & Brand, arXiv 1706.06873).  The
+weight gradient gathers the im2col matrix, one GEMM per tile over all its
+pixels: a strip version of it was faster for the 11x11 and 5x5 convs but
+slower for the 3x3 ones.  There are two lowerings.  A conv whose input has
+one channel, or whose batch repeats its rows, pads NCHW and gathers
+tap-major tiles, so its GEMM writes whole NCHW output rows; every other
+conv pads NHWC and gathers channels-last tiles, whose product is
+transposed into the output while in cache.  Max pooling is 2x2 with
 deterministic first-maximum tie-breaking.  A block that pools does so
 before its ReLU: max commutes with ReLU, and a window's first maximum
 passes gradient exactly when it is positive, so outputs and gradients are
@@ -200,49 +207,81 @@ def _padded(x: np.ndarray, pad: int, r: int = 1) -> np.ndarray:
     return xp
 
 
-def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, phases: int = 1, kh: int | None = None,
-                  tap_major: bool = False) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
-    """Worker ranges of whole tiles over padded ``xp``, and one im2col tile buffer per range.
+def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, kh: int | None = None, tap_major: bool = False,
+                  strips: bool = False) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """Worker ranges of whole tiles over padded ``xp``, and one gather buffer per range.
 
     ``xp`` is NCHW if ``tap_major``, else NHWC.  The kernel is ``kh`` x
     ``k``, square unless ``kh`` is given.  A tile holds as many whole
     samples (at least one) as keep both its im2col matrix and its GEMM
     product, of ``out_ch`` rows, within ``_TILE_BYTES``; the ranges count
-    that GEMM's work.  Each sample's output rows come in ``phases`` row
-    phases: with two, its even rows, then its odd ones.  A tap-major buffer
-    is (channels, kh, kw, phase, row, wo) per sample; a channels-last one
-    is (phase, row, wo, kh, kw, channels).
+    that GEMM's work.  The buffer holds a tile's im2col matrix: per sample
+    (channels, kh, kw, ho, wo) tap-major, else (ho, wo, kh, kw, channels).
+    With ``strips`` it holds the tile's strips instead (``_strip_tiles``),
+    kh times smaller: per sample (padded row, channels, kw, wo) tap-major,
+    else (wo, padded row, kw, channels).
     """
     n, hp, wp, c = _nhwc(xp, tap_major).shape
     kh = k if kh is None else kh
     ho, wo = hp - kh + 1, wp - k + 1
-    rows = (phases, ho // phases, wo)
-    sample = (c, kh, k, *rows) if tap_major else (*rows, kh, k, c)
-    t = max(1, min(n, _TILE_BYTES // (max(math.prod(sample), ho * wo * out_ch) * xp.itemsize)))
+    patches = (c, kh, k, ho, wo) if tap_major else (ho, wo, kh, k, c)
+    t = max(1, min(n, _TILE_BYTES // (max(math.prod(patches), ho * wo * out_ch) * xp.itemsize)))
     ranges = _split(n, 2 * ho * wo * kh * k * c * out_ch // _FLOPS_PER_BYTE, t)
+    sample = ((hp, c, k, wo) if tap_major else (wo, hp, k, c)) if strips else patches
     return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
+
+
+def _gather_tiles(view: np.ndarray, lo: int, hi: int, buf: np.ndarray):
+    """Yield (a, b, buf[:b - a]) holding samples a..b-1 of ``view``, for samples lo..hi-1, ``len(buf)`` at a time."""
+    for a in range(lo, hi, len(buf)):
+        m = min(len(buf), hi - a)
+        np.copyto(buf[:m], view[a : a + m])
+        yield a, a + m, buf[:m]
 
 
 def _im2col_tiles(xp: np.ndarray, lo: int, hi: int, buf: np.ndarray, tap_major: bool = False):
     """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded ``xp``.
 
-    Samples lo..hi-1 are gathered ``len(buf)`` at a time into ``buf``, which
-    the next tile overwrites.  ``buf`` and ``tap_major`` come from the same
-    ``_tile_buffers`` call; the buffer's shape sets the row phases and the
-    kernel.  A tap-major cols is (samples, channels*kh*kw, pixels), gathered
-    in runs of a whole output row; a channels-last one is (samples*pixels,
-    kh*kw*channels), gathered in runs of kw*channels.
+    ``buf`` and ``tap_major`` come from the same ``_tile_buffers`` call; the
+    next tile overwrites ``buf``.  A tap-major cols is (samples,
+    channels*kh*kw, pixels), gathered in runs of a whole output row; a
+    channels-last one is (samples*pixels, kh*kw*channels), gathered in runs
+    of kw*channels.
     """
     s0, s1, s2, sc = _nhwc(xp, tap_major).strides
-    rows = buf.shape[4:] if tap_major else buf.shape[1:4]
-    row_strides = (s1, rows[0] * s1, s2)  # phase p starts p rows down and steps `phases` rows
-    strides = (s0, sc, s1, s2, *row_strides) if tap_major else (s0, *row_strides, s1, s2, sc)
+    strides = (s0, sc, s1, s2, s1, s2) if tap_major else (s0, s1, s2, s1, s2, sc)
     view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
-    pixels = math.prod(rows)
-    for a in range(lo, hi, len(buf)):
-        m = min(len(buf), hi - a)
-        np.copyto(buf[:m], view[a : a + m])
-        yield a, a + m, buf[:m].reshape((m, -1, pixels) if tap_major else (m * pixels, -1))
+    pixels = math.prod(buf.shape[4:] if tap_major else buf.shape[1:3])
+    for a, z, tile in _gather_tiles(view, lo, hi, buf):
+        yield a, z, tile.reshape((z - a, -1, pixels) if tap_major else ((z - a) * pixels, -1))
+
+
+def _strip_tiles(xp: np.ndarray, lo: int, hi: int, buf: np.ndarray, kh: int, phases: int, tap_major: bool):
+    """Yield (a, b, rows): the GEMM operands of samples a..b-1 of padded ``xp``, read from their strips.
+
+    ``buf`` comes from ``_tile_buffers(..., strips=True)`` with the same
+    ``tap_major``; the next tile overwrites it.  It holds each padded row's
+    kw horizontal taps once, so output row y's patches are the kh strips
+    from row y on, one block.  ``rows`` views them without a copy as
+    (samples, phases, rows per phase, matrix): output row y = phases*j + p
+    at [:, p, j].  A tap-major matrix is (kh*channels*kw, wo), contiguous,
+    for a kernel ordered (out, kh, in, kw); a channels-last one is (wo,
+    kh*kw*channels), its rows a padded row's worth of strips apart.  Both
+    keep unit inner strides, so ``np.matmul`` hands each to BLAS.
+    """
+    s0, s1, s2, sc = _nhwc(xp, tap_major).strides
+    strides = (s0, s1, sc, s2, s2) if tap_major else (s0, s2, s1, s2, sc)
+    view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
+    if tap_major:
+        _, hp, c, kw, wo = buf.shape
+        row, matrix, matrix_strides = buf.strides[1], (kh * c * kw, wo), buf.strides[3:]
+    else:
+        _, wo, hp, kw, c = buf.shape
+        row, matrix, matrix_strides = buf.strides[2], (wo, kh * kw * c), (buf.strides[1], buf.strides[4])
+    rows = (phases, (hp - kh + 1) // phases, *matrix)
+    for a, z, tile in _gather_tiles(view, lo, hi, buf):
+        yield a, z, np.lib.stride_tricks.as_strided(tile, (z - a, *rows), (buf.strides[0], row, phases * row,
+                                                                            *matrix_strides), writeable=False)
 
 
 def _pooled_shape(shape: tuple) -> tuple:
@@ -275,12 +314,14 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
     """Valid correlation of ``_padded`` input ``xp`` with (r*out, in, kh, kw) ``w``, plus bias ``b``, as NCHW.
 
     ``w`` is ``Conv2d._phase_kernel(r)``: row block p applied to source row
-    Y gives output row r*Y + p.  With ``pool_relu`` each tile's product is
-    2x2-max-pooled while it is in cache (at r > 1 a window's two rows are
-    phases 2j and 2j + 1), then biased and rectified, so the full-resolution
-    output never exists.  Max commutes with ReLU and, because rounding is
-    monotone, with the bias add; so the result equals conv, pool and ReLU
-    (or conv, ReLU and pool) in turn bit for bit.
+    Y gives output row r*Y + p.  Each tile is gathered as strips and takes
+    one GEMM per output row (``_strip_tiles``).  With ``pool_relu`` each
+    tile's product is 2x2-max-pooled while it is in cache (a window's two
+    rows are phases 2j and 2j + 1: of the output rows at r = 1, of the
+    source row's output at r > 1), then biased and rectified, so the
+    full-resolution output never exists.  Max commutes with ReLU and,
+    because rounding is monotone, with the bias add; so the result equals
+    conv, pool and ReLU (or conv, ReLU and pool) in turn bit for bit.
     """
     rows, in_ch, kh, kw = w.shape
     out_ch = rows // r
@@ -290,30 +331,28 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
     full = (len(xp), out_ch, r * ho, wo)
     out = np.empty(_pooled_shape(full) if pool_relu else full, dtype=xp.dtype)
     bias = None if b is None else b.astype(xp.dtype)[:, None, None]
-    ranges, bufs = _tile_buffers(xp, kw, rows, 2 if pool_relu and r == 1 else 1, kh, tap_major)
+    phases = 2 if pool_relu and r == 1 else 1
+    ranges, bufs = _tile_buffers(xp, kw, rows, kh, tap_major, strips=True)
     # per worker: the row max of one tile's product
     halves = [np.empty((len(buf), rows * ho * wo // 2), dtype=xp.dtype) for buf in bufs] if pool_relu else None
     if tap_major:  # the GEMM writes NCHW rows, directly unless pooled or phased
-        w2 = w.reshape(rows, -1).astype(xp.dtype)
+        w2 = w.transpose(0, 2, 1, 3).reshape(rows, -1).astype(xp.dtype)
         direct = r == 1 and not pool_relu
-        prods = None if direct else [np.empty((len(buf), rows, ho * wo), dtype=xp.dtype) for buf in bufs]
+        # (samples, phase, GEMM row, row, wo): output row phases*j + p's product is [:, p, :, j]
+        prods = None if direct else [np.empty((len(buf), phases, rows, ho // phases, wo), dtype=xp.dtype)
+                                     for buf in bufs]
+        g = max(r, 2) // 2  # pool windows per phased row
 
         def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
+            for a, z, strips in _strip_tiles(xp, lo, hi, bufs[i], kh, phases, tap_major):
                 m, y = z - a, out[a:z]
-                if direct:
-                    np.matmul(w2, cols, out=y.reshape(m, out_ch, -1))
-                else:
-                    prod = np.matmul(w2, cols, out=prods[i][:m])
-                if pool_relu and r == 1:  # each channel's even output rows, then its odd ones
-                    half = halves[i][:m].reshape(m, out_ch, -1)
-                    pairs = half.reshape(m, out_ch, ho // 2, wo // 2, 2).transpose(4, 0, 1, 2, 3)
-                    _pool_relu_tile(prod.reshape(m, out_ch, 2, -1), half, pairs, bias, y)
-                elif pool_relu:  # phases 2j and 2j + 1 of source row Y pool into output row Y*r/2 + j
-                    half = halves[i][:m].reshape(m, r // 2, -1)
-                    pairs = half.reshape(m, r // 2, out_ch, ho, wo // 2, 2).transpose(5, 0, 2, 3, 1, 4)
-                    y, window_bias = y.reshape(m, out_ch, ho, r // 2, -1), None if bias is None else bias[:, None]
-                    _pool_relu_tile(prod.reshape(m, r // 2, 2, -1), half, pairs, window_bias, y)
+                prod = y.reshape(m, 1, out_ch, ho, wo) if direct else prods[i][:m]
+                np.matmul(w2, strips, out=prod.transpose(0, 1, 3, 2, 4))
+                if pool_relu:  # phases 2j and 2j + 1 of a phased row pool into output row g*row + j
+                    half = halves[i][:m].reshape(m, g, -1)
+                    pairs = half.reshape(m, g, out_ch, -1, wo // 2, 2).transpose(5, 0, 2, 3, 1, 4)
+                    y, window_bias = y.reshape(m, out_ch, -1, g, wo // 2), None if bias is None else bias[:, None]
+                    _pool_relu_tile(prod.reshape(m, g, 2, -1), half, pairs, window_bias, y)
                 elif r > 1:  # whole output rows
                     by_row = prod.reshape(m, r, out_ch, ho, wo).transpose(0, 2, 3, 1, 4)
                     np.copyto(y.reshape(m, out_ch, ho, r, wo), by_row)
@@ -322,21 +361,20 @@ def _conv(xp: np.ndarray, w: np.ndarray, b: np.ndarray | None = None, pool_relu:
 
     else:  # r = 1: each tile's NHWC product is transposed into the output while in cache
         w2 = w.transpose(2, 3, 1, 0).reshape(-1, out_ch).astype(xp.dtype)
-        prods = [np.empty((len(buf), ho, wo, out_ch), dtype=xp.dtype) for buf in bufs]
+        prods = [np.empty((len(buf), phases, ho // phases, wo, out_ch), dtype=xp.dtype) for buf in bufs]
 
         def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
+            for a, z, strips in _strip_tiles(xp, lo, hi, bufs[i], kh, phases, tap_major):
                 m, y = z - a, out[a:z]
-                prod = prods[i][:m]
-                np.matmul(cols, w2, out=prod.reshape(-1, out_ch))
+                prod = np.matmul(strips, w2, out=prods[i][:m])
                 if pool_relu:  # the column max writes the quarter-size result transposed
                     half = halves[i][:m].reshape(m, 1, -1)
                     pairs = half.reshape(m, ho // 2, wo // 2, 2, out_ch).transpose(3, 0, 4, 1, 2)
                     _pool_relu_tile(prod.reshape(m, 1, 2, -1), half, pairs, bias, y)
                 elif bias is None:
-                    np.copyto(y, prod.transpose(0, 3, 1, 2))
+                    np.copyto(y, prod[:, 0].transpose(0, 3, 1, 2))
                 else:
-                    np.add(prod.transpose(0, 3, 1, 2), bias, out=y)
+                    np.add(prod[:, 0].transpose(0, 3, 1, 2), bias, out=y)
 
     _run(work, ranges)
     return out
@@ -427,15 +465,18 @@ def _conv_grad(xp: np.ndarray, dout: np.ndarray, in_ch: int, r: int = 1) -> np.n
 
 
 class Conv2d:
-    """Stride-1 zero-padded convolution, lowered to im2col + GEMM per tile of samples.
+    """Stride-1 zero-padded convolution, lowered to GEMMs per tile of samples.
 
-    The padded batch's im2col matrix is gathered one tile of samples at a
-    time (``_TILE_BYTES``, about one L2) into one reused buffer per worker,
-    so no whole-batch im2col matrix exists.  ``_tap_major`` picks the
-    lowering.  When the layer pads "same" (``2 * pad == kernel - 1``) and the
-    batch's rows repeat in aligned groups of r > 1 (``_row_repeat``), only
-    every r-th row is padded, kept and gathered, and the kernel is expanded
-    to r row phases (``_phase_kernel``).  An inference forward with
+    The padded batch is gathered one tile of samples at a time
+    (``_TILE_BYTES``, about one L2) into one reused buffer per worker, so no
+    whole-batch patch matrix exists.  The forward and the input gradient
+    gather strips and run one GEMM per output row (``_strip_tiles``); the
+    weight gradient gathers the im2col matrix and runs one GEMM per tile
+    (``_im2col_tiles``).  ``_tap_major`` picks the lowering.  When the layer
+    pads "same" (``2 * pad == kernel - 1``) and the batch's rows repeat in
+    aligned groups of r > 1 (``_row_repeat``), only every r-th row is
+    padded, kept and gathered, and the kernel is expanded to r row phases
+    (``_phase_kernel``).  An inference forward with
     ``pool_relu`` also does the work of the ReLU and 2x2 max pool that
     follow.  A training forward keeps only the padded input; backward
     gathers its tiles again for one weight-gradient partial per tile, summed
@@ -506,9 +547,8 @@ class Relu:
     def params(self) -> dict:
         return {}
 
-    def forward(self, x: np.ndarray, train: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-        """max(x, 0), into ``out`` if given; ``out`` may be ``x`` itself."""
-        y = np.empty_like(x) if out is None else out
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        y = np.empty_like(x)
         mask = np.empty(x.shape, dtype=bool) if train else None
 
         def work(_, lo, hi):
@@ -713,19 +753,13 @@ def forward(model: CnnModel, x: np.ndarray, train: bool = False, fused: bool = F
     """
     if train and fused:
         raise ValueError("fused is inference-only: backward needs each layer's own state")
-    batch, single = _as_batch(model, x)
-    out = batch
+    out, single = _as_batch(model, x)
     layers, i = model.layers, 0
     while i < len(layers):
         layer = layers[i]
         after = {type(later) for later in layers[i + 1 : i + 3]}
         triple = fused and type(layer) is Conv2d and after == {MaxPool2, Relu}
-        if triple:
-            out = layer.forward(out, pool_relu=True)
-        elif isinstance(layer, Relu) and out is not batch:  # an intermediate nothing reads again
-            out = layer.forward(out, train=train, out=out)
-        else:
-            out = layer.forward(out, train=train)
+        out = layer.forward(out, pool_relu=True) if triple else layer.forward(out, train=train)
         i += 3 if triple else 1
     return out[0] if single else out
 

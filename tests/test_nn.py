@@ -404,28 +404,77 @@ class TestTiling:
         whole = self.run(layer, x, dout)
 
         tiles = []
-        gather = nn._im2col_tiles
 
-        def spy(xp, k, *rest):
-            for lo, hi, cols in gather(xp, k, *rest):
-                tiles.append((xp.shape[1 if rest[-1] else -1], lo, hi))  # a tap-major xp is NCHW
-                yield lo, hi, cols
+        def spy(gather):
+            def tiles_of(xp, lo, hi, buf, *rest):
+                for a, z, operand in gather(xp, lo, hi, buf, *rest):
+                    tiles.append((gather.__name__, xp.shape[1 if rest[-1] else -1], a, z))  # a tap-major xp is NCHW
+                    yield a, z, operand
+            return tiles_of
 
         # room for the im2col rows of exactly two samples of the input
         monkeypatch.setattr(nn, "_TILE_BYTES", 2 * 8 * 8 * 3 * 3 * in_ch * 8)
-        monkeypatch.setattr(nn, "_im2col_tiles", spy)
+        for name in ("_strip_tiles", "_im2col_tiles"):
+            monkeypatch.setattr(nn, name, spy(getattr(nn, name)))
         split = self.run(layer, x, dout)
         tiles.sort()  # workers gather their ranges concurrently
-        # the forward and the weight gradient gather in tiles of 2, 2 and 1
-        # samples; the input gradient's gather, over 3 channels, one at a time
-        assert [t[1:] for t in tiles if t[0] == in_ch] == sorted([(0, 2), (2, 4), (4, 5)] * 2)
-        assert [t[1:] for t in tiles if t[0] == 3] == [(i, i + 1) for i in range(5)]
+
+        def gathered(name, channels):
+            return [t[2:] for t in tiles if t[:2] == (name, channels)]
+
+        # the forward gathers strips and the weight gradient im2col rows, both
+        # in tiles of 2, 2 and 1 samples; the input gradient gathers strips
+        # over 3 channels, one sample at a time
+        assert gathered("_strip_tiles", in_ch) == [(0, 2), (2, 4), (4, 5)]
+        assert gathered("_im2col_tiles", in_ch) == [(0, 2), (2, 4), (4, 5)]
+        assert gathered("_strip_tiles", 3) == [(i, i + 1) for i in range(5)]
+        assert len(tiles) == 11
         for got, want in zip(split, whole):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_oracle_exact_match_with_one_sample_tiles(self, monkeypatch):
         monkeypatch.setattr(nn, "_TILE_BYTES", 1)
         TestConvOracle().test_exact_match_on_integer_tensors()
+
+    @pytest.mark.parametrize("variant", ["S", "AP", "A", "P"])
+    @pytest.mark.parametrize("width", [1, 0.25])
+    def test_every_strip_gemm_can_go_to_blas(self, monkeypatch, variant, width):
+        # numpy's matmul hands a matrix to BLAS as it is only if its inner
+        # stride is the itemsize and its leading stride covers a row.  Else
+        # the result is the same, but numpy 2.4 first copies the operand
+        # (2x slower on S conv1's strips) and numpy 1.x runs its own loop
+        def blas_ready(a):
+            *_, lead, inner = a.strides
+            return inner == a.itemsize and lead % a.itemsize == 0 and lead >= a.shape[-1] * a.itemsize
+
+        strips, calls = [], []
+        gather, matmul = nn._strip_tiles, np.matmul
+
+        def gather_spy(*args):
+            for a, z, operand in gather(*args):
+                strips.append(operand)
+                yield a, z, operand
+
+        def matmul_spy(a, b, out):
+            calls.append((a, b, out))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(nn, "_strip_tiles", gather_spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        model = nn.build_model(variant, width_scale=width, seed=0)
+        rng = np.random.default_rng(43)
+        x = rng.random((2, *model.input_shape), dtype=np.float32)
+        batches = [x, ap_batch(2)] if variant == "AP" else [x]  # AP tensors take conv1's row-phase path
+        for x in batches:
+            for layer, pooled in zip([l for l in model.layers if isinstance(l, nn.Conv2d)], nn.POOL_AFTER):
+                y = layer.forward(x, pool_relu=pooled)
+                out = layer.forward(x, train=True)
+                layer.backward(rng.random(out.shape, dtype=np.float32))
+                x = np.maximum(y, 0) if pooled else y
+        assert len(strips) >= 3 * 5 * len(batches)  # every conv's fused and training forward, and its input gradient
+        for operand in strips:
+            [(a, b, out)] = [call for call in calls if operand is call[0] or operand is call[1]]
+            assert blas_ready(operand) and blas_ready(out)
 
 
 def traced_peak_mb(fn, *args):
@@ -476,6 +525,28 @@ class TestConvMemory:
         dout = np.ones((50, 32, 64, 64), dtype=np.float32)
         assert traced_peak_mb(functools.partial(conv.backward, need_dx=False), dout) < 16
 
+    def test_strip_buffers_per_worker(self, monkeypatch):
+        # 0.82 MiB when this bound was set: a conv4 or conv5 tile of 14
+        # samples' strips.  S conv1's strips are 0.2 MiB a sample against its
+        # 1.9 MiB of im2col rows, and conv2's 0.7 against 3.1
+        sizes = []
+        tile_buffers = nn._tile_buffers
+
+        def spy(*args, strips=False, **kwargs):
+            ranges, bufs = tile_buffers(*args, strips=strips, **kwargs)
+            if strips:
+                sizes.append(max(buf.nbytes for buf in bufs) / 2**20)
+            return ranges, bufs
+
+        monkeypatch.setattr(nn, "_tile_buffers", spy)
+        x = np.random.default_rng(15).random((200, 1, 64, 64), dtype=np.float32)
+        model = nn.build_model("S", seed=0)
+        nn.forward(model, x, fused=True)
+        nn.backward(model, x[:50], np.arange(50) % 2)
+        nn.backward(nn.build_model("AP", seed=0), ap_batch(50), np.arange(50) % 2)
+        assert len(sizes) == 5 + 5 + 4 + 5 + 4  # passes: S fused, then per model 5 training forwards, 4 input gradients
+        assert max(sizes) < 1
+
     def test_full_width_inference_peak(self):
         model = nn.build_model("S", seed=0)
         x = np.zeros((200, 1, 64, 64), dtype=np.float32)
@@ -486,9 +557,10 @@ class TestConvMemory:
         x = np.random.default_rng(12).random((50, 2, 64, 64), dtype=np.float32)
         assert traced_peak_mb(nn.backward, model, x, np.arange(50) % 2) < 150
 
-    def test_inference_relu_overwrites_its_input(self):
-        # the peak is conv1's 100 MiB output plus pool1's 25 MiB, which the
-        # ReLU rectifies in place
+    def test_unfused_s_inference_peak(self):
+        # the peak is conv1's 100 MiB output plus pool1's 25 MiB; the ReLU
+        # after each pool allocates only its quarter-size output (126 MiB
+        # when this bound was set)
         model = nn.build_model("S", seed=0)
         x = np.zeros((200, 1, 64, 64), dtype=np.float32)
         assert traced_peak_mb(nn.forward, model, x) < 150
