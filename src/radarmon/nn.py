@@ -11,15 +11,17 @@ padded row's kw horizontal taps once, as strips: kw copies of the input,
 not the kh*kw of an im2col matrix.  Output row y's patches are then the kh
 strips from row y on, so one GEMM per output row reads them in place
 through an overlapping view (MEC: Cho & Brand, arXiv 1706.06873).  The
-weight gradient gathers the im2col matrix, one GEMM per tile over all its
-pixels: a strip version of it was faster for the 11x11 and 5x5 convs but
-slower for the 3x3 ones.  There are two lowerings.  A conv whose input has
-one channel, or whose batch repeats its rows, pads NCHW and gathers
-tap-major tiles, so its GEMM writes whole NCHW output rows; every other
-conv pads NHWC and gathers channels-last tiles, whose product is
-transposed into the output while in cache.  Max pooling is 2x2 with
-deterministic first-maximum tie-breaking.  A block that pools does so
-before its ReLU: max commutes with ReLU, and a window's first maximum
+weight gradient gathers each tile's im2col matrix (Chellapilla, Puri &
+Simard, 2006) and takes one GEMM per tile: a strip version of it was
+faster for the 11x11 and 5x5 convs but slower for the 3x3 ones.  There
+are two lowerings.  A conv whose input has one channel, or whose batch
+repeats its rows, pads NCHW and gathers tap-major tiles: its strip GEMM
+writes whole NCHW output rows, and its im2col matrix is gathered
+sample-inner, (channels, kh, kw, sample, pixel), in runs of an output
+row.  Every other conv pads NHWC and gathers channels-last tiles, whose
+strip product is transposed into the output while in cache.  Max pooling
+is 2x2 with deterministic first-maximum tie-breaking.  A block that pools
+does so before its ReLU: max commutes with ReLU, and a window's first maximum
 passes gradient exactly when it is positive, so outputs and gradients are
 those of ReLU then pool bit for bit, while the ReLU touches a quarter of
 the data.  A fused inference forward runs each conv -> max-pool -> ReLU
@@ -215,11 +217,13 @@ def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, kh: int | None = None, ta
     ``k``, square unless ``kh`` is given.  A tile holds as many whole
     samples (at least one) as keep both its im2col matrix and its GEMM
     product, of ``out_ch`` rows, within ``_TILE_BYTES``; the ranges count
-    that GEMM's work.  The buffer holds a tile's im2col matrix: per sample
-    (channels, kh, kw, ho, wo) tap-major, else (ho, wo, kh, kw, channels).
-    With ``strips`` it holds the tile's strips instead (``_strip_tiles``),
-    kh times smaller: per sample (padded row, channels, kw, wo) tap-major,
-    else (wo, padded row, kw, channels).
+    that GEMM's work.  The buffer, indexed by sample first, holds a tile's
+    im2col matrix: per sample (channels, kh, kw, ho, wo) tap-major, else
+    (ho, wo, kh, kw, channels).  A tap-major one is laid out sample-inner,
+    (channels, kh, kw, sample, ho, wo), so the tile's patches stay one
+    matrix.  With ``strips`` it holds the tile's strips instead
+    (``_strip_tiles``), kh times smaller: per sample (padded row, channels,
+    kw, wo) tap-major, else (wo, padded row, kw, channels).
     """
     n, hp, wp, c = _nhwc(xp, tap_major).shape
     kh = k if kh is None else kh
@@ -228,7 +232,9 @@ def _tile_buffers(xp: np.ndarray, k: int, out_ch: int, kh: int | None = None, ta
     t = max(1, min(n, _TILE_BYTES // (max(math.prod(patches), ho * wo * out_ch) * xp.itemsize)))
     ranges = _split(n, 2 * ho * wo * kh * k * c * out_ch // _FLOPS_PER_BYTE, t)
     sample = ((hp, c, k, wo) if tap_major else (wo, hp, k, c)) if strips else patches
-    return ranges, [np.empty((t, *sample), dtype=xp.dtype) for _ in ranges]
+    at = 3 if tap_major and not strips else 0  # the sample axis's place in memory
+    return ranges, [np.moveaxis(np.empty((*sample[:at], t, *sample[at:]), dtype=xp.dtype), at, 0)
+                    for _ in ranges]
 
 
 def _gather_tiles(view: np.ndarray, lo: int, hi: int, buf: np.ndarray):
@@ -240,20 +246,22 @@ def _gather_tiles(view: np.ndarray, lo: int, hi: int, buf: np.ndarray):
 
 
 def _im2col_tiles(xp: np.ndarray, lo: int, hi: int, buf: np.ndarray, tap_major: bool = False):
-    """Yield (a, b, cols): the im2col matrix of samples a..b-1 of padded ``xp``.
+    """Yield (a, b, cols): the (patch, samples*pixels) im2col matrix of samples a..b-1 of padded ``xp``.
 
     ``buf`` and ``tap_major`` come from the same ``_tile_buffers`` call; the
-    next tile overwrites ``buf``.  A tap-major cols is (samples,
-    channels*kh*kw, pixels), gathered in runs of a whole output row; a
-    channels-last one is (samples*pixels, kh*kw*channels), gathered in runs
-    of kw*channels.
+    next tile overwrites ``buf``, and ``cols`` views it.  A tap-major cols
+    is gathered sample-inner in runs of a whole output row, its patch
+    (channels, kh, kw) and row-major; a channels-last one is gathered
+    pixel-major in runs of kw*channels, its patch (kh, kw, channels) and
+    column-major.  Either way ``np.matmul`` hands it to BLAS as it is.
     """
     s0, s1, s2, sc = _nhwc(xp, tap_major).strides
     strides = (s0, sc, s1, s2, s1, s2) if tap_major else (s0, s1, s2, s1, s2, sc)
     view = np.lib.stride_tricks.as_strided(xp, (len(xp), *buf.shape[1:]), strides, writeable=False)
-    pixels = math.prod(buf.shape[4:] if tap_major else buf.shape[1:3])
+    order = (1, 2, 3, 0, 4, 5) if tap_major else (3, 4, 5, 0, 1, 2)  # (patch, sample, pixel)
+    patch = math.prod(buf.shape[i] for i in order[:3])
     for a, z, tile in _gather_tiles(view, lo, hi, buf):
-        yield a, z, tile.reshape((z - a, -1, pixels) if tap_major else ((z - a) * pixels, -1))
+        yield a, z, tile.transpose(order).reshape(patch, -1)
 
 
 def _strip_tiles(xp: np.ndarray, lo: int, hi: int, buf: np.ndarray, kh: int, phases: int, tap_major: bool):
@@ -421,7 +429,11 @@ def _tile_sum(parts: np.ndarray) -> np.ndarray:
 
 
 def _conv_grad(xp: np.ndarray, dout: np.ndarray, in_ch: int, r: int = 1) -> np.ndarray:
-    """The (r*out, in, kh, kw) weight gradient of ``_conv`` of ``xp`` at row repeat ``r``, given ``dout``."""
+    """The (r*out, in, kh, kw) weight gradient of ``_conv`` of ``xp`` at row repeat ``r``, given ``dout``.
+
+    Each tile's output gradient is copied channel-major, as (phase, out,
+    sample, source row, wo), and meets the tile's im2col matrix in one GEMM.
+    """
     n, out_ch, h, wo = dout.shape
     tap_major = _tap_major(in_ch, r)
     _, hp, wp, _ = _nhwc(xp, tap_major).shape
@@ -429,39 +441,20 @@ def _conv_grad(xp: np.ndarray, dout: np.ndarray, in_ch: int, r: int = 1) -> np.n
     kh, kw = hp - ho + 1, wp - wo + 1
     ranges, bufs = _tile_buffers(xp, kw, rows, kh=kh, tap_major=tap_major)
     t = len(bufs[0])
-    if tap_major:
-        parts = np.empty((-(-n // t), rows, in_ch * kh * kw), dtype=dout.dtype)
-        prods = [np.empty((t, rows, in_ch * kh * kw), dtype=dout.dtype) for _ in ranges]
-        douts = [np.empty((t, rows, ho * wo), dtype=dout.dtype) for _ in ranges] if r > 1 else None
+    parts = np.empty((-(-n // t), in_ch * kh * kw, rows), dtype=dout.dtype)
+    douts = [np.empty((r, out_ch, t, ho, wo), dtype=dout.dtype) for _ in ranges]
 
-        def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
-                m = z - a
-                if r > 1:  # output row r*Y + p is phase p's source row Y
-                    d = douts[i][:m]
-                    by_phase = dout[a:z].reshape(m, out_ch, ho, r, wo).transpose(0, 3, 1, 2, 4)
-                    np.copyto(d.reshape(m, r, out_ch, ho, wo), by_phase)
-                else:
-                    d = dout[a:z].reshape(m, out_ch, -1)
-                np.matmul(d, cols.transpose(0, 2, 1), out=prods[i][:m])
-                np.sum(prods[i][:m], axis=0, out=parts[a // t])
-
-    else:
-        parts = np.empty((-(-n // t), kh * kw * in_ch, out_ch), dtype=dout.dtype)
-        douts = [np.empty((t, ho, wo, out_ch), dtype=dout.dtype) for _ in ranges]
-
-        def work(i, lo, hi):
-            for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
-                d = douts[i][: z - a]
-                np.copyto(d, dout[a:z].transpose(0, 2, 3, 1))
-                np.matmul(cols.T, d.reshape(-1, out_ch), out=parts[a // t])
+    def work(i, lo, hi):
+        for a, z, cols in _im2col_tiles(xp, lo, hi, bufs[i], tap_major):
+            d = douts[i][:, :, : z - a]
+            # output row r*Y + p is phase p's source row Y
+            np.copyto(d, dout[a:z].reshape(z - a, out_ch, ho, r, wo).transpose(3, 1, 0, 2, 4))
+            np.matmul(cols, d.reshape(rows, -1).T, out=parts[a // t])
 
     _run(work, ranges)
     del bufs
-    dw = _tile_sum(parts)
-    if tap_major:
-        return dw.reshape(rows, in_ch, kh, kw)
-    return np.ascontiguousarray(dw.reshape(kh, kw, in_ch, out_ch).transpose(3, 2, 0, 1))
+    dw = _tile_sum(parts).reshape(*((in_ch, kh, kw) if tap_major else (kh, kw, in_ch)), rows)
+    return np.ascontiguousarray(dw.transpose(3, 0, 1, 2) if tap_major else dw.transpose(3, 2, 0, 1))
 
 
 class Conv2d:
@@ -471,8 +464,9 @@ class Conv2d:
     (``_TILE_BYTES``, about one L2) into one reused buffer per worker, so no
     whole-batch patch matrix exists.  The forward and the input gradient
     gather strips and run one GEMM per output row (``_strip_tiles``); the
-    weight gradient gathers the im2col matrix and runs one GEMM per tile
-    (``_im2col_tiles``).  ``_tap_major`` picks the lowering.  When the layer
+    weight gradient gathers the tile's im2col matrix, sample-inner if
+    tap-major, and runs one GEMM per tile (``_im2col_tiles``) at every row
+    repeat.  ``_tap_major`` picks the lowering.  When the layer
     pads "same" (``2 * pad == kernel - 1``) and the batch's rows repeat in
     aligned groups of r > 1 (``_row_repeat``), only every r-th row is
     padded, kept and gathered, and the kernel is expanded to r row phases

@@ -25,6 +25,21 @@ def ap_batch(n, seed=0, dtype=np.float32):
     return represent.model_batch(chunks, "AP").astype(dtype, copy=False)
 
 
+def blas_ready(a):
+    """Whether ``np.matmul`` hands the matrix in ``a``'s last two axes to BLAS as it is.
+
+    numpy does so only if one stride is the itemsize and the other a
+    multiple of it that covers the matrix's extent along the first: a
+    row-major matrix, or a column-major one (a transposed operand).  Else
+    the result is the same, but numpy 2.4 first copies the operand (2x
+    slower on S conv1's strips) and numpy 1.x runs its own loop.
+    """
+    *_, rows, cols = a.strides
+    *_, m, n = a.shape
+    return any(inner == a.itemsize and lead % a.itemsize == 0 and lead >= extent * a.itemsize
+               for lead, inner, extent in ((rows, cols, n), (cols, rows, m)))
+
+
 def model_loss(model, x, y):
     p = np.atleast_2d(nn.forward(model, x))
     yy = np.atleast_1d(y)
@@ -393,12 +408,12 @@ class TestTiling:
         dx = layer.backward(dout)
         return [out, layer._grads["w"], layer._grads["b"], dx]
 
-    @pytest.mark.parametrize("in_ch", [1, 2])
-    def test_split_batch_matches_one_tile(self, monkeypatch, in_ch):
+    @pytest.mark.parametrize("in_ch,r", [(1, 1), (2, 1), (2, 4)], ids=["1", "2", "2-rows-in-fours"])
+    def test_split_batch_matches_one_tile(self, monkeypatch, in_ch, r):
         rng = np.random.default_rng(40 + in_ch)
         layer = nn.Conv2d(in_ch, 3, 3, 1, rng)
         layer.b[...] = rng.standard_normal(3)
-        x = rng.standard_normal((5, in_ch, 8, 8))
+        x = repeated_rows(rng, (5, in_ch, 8, 8), r)
         dout = rng.standard_normal((5, 3, 8, 8))
         monkeypatch.setattr(nn, "_TILE_BYTES", 2**40)
         whole = self.run(layer, x, dout)
@@ -412,11 +427,12 @@ class TestTiling:
                     yield a, z, operand
             return tiles_of
 
-        # room for the im2col rows of exactly two samples of the input
-        monkeypatch.setattr(nn, "_TILE_BYTES", 2 * 8 * 8 * 3 * 3 * in_ch * 8)
+        # room for the im2col rows of exactly two samples of the input's source rows
+        monkeypatch.setattr(nn, "_TILE_BYTES", 2 * (8 // r) * 8 * 3 * 3 * in_ch * 8)
         for name in ("_strip_tiles", "_im2col_tiles"):
             monkeypatch.setattr(nn, name, spy(getattr(nn, name)))
         split = self.run(layer, x, dout)
+        assert layer._repeat == r
         tiles.sort()  # workers gather their ranges concurrently
 
         def gathered(name, channels):
@@ -439,14 +455,6 @@ class TestTiling:
     @pytest.mark.parametrize("variant", ["S", "AP", "A", "P"])
     @pytest.mark.parametrize("width", [1, 0.25])
     def test_every_strip_gemm_can_go_to_blas(self, monkeypatch, variant, width):
-        # numpy's matmul hands a matrix to BLAS as it is only if its inner
-        # stride is the itemsize and its leading stride covers a row.  Else
-        # the result is the same, but numpy 2.4 first copies the operand
-        # (2x slower on S conv1's strips) and numpy 1.x runs its own loop
-        def blas_ready(a):
-            *_, lead, inner = a.strides
-            return inner == a.itemsize and lead % a.itemsize == 0 and lead >= a.shape[-1] * a.itemsize
-
         strips, calls = [], []
         gather, matmul = nn._strip_tiles, np.matmul
 
@@ -475,6 +483,39 @@ class TestTiling:
         for operand in strips:
             [(a, b, out)] = [call for call in calls if operand is call[0] or operand is call[1]]
             assert blas_ready(operand) and blas_ready(out)
+
+    @pytest.mark.parametrize("variant", ["S", "AP", "A", "P"])
+    @pytest.mark.parametrize("width", [1, 0.25])
+    def test_every_weight_gradient_is_one_blas_gemm_per_tile(self, monkeypatch, variant, width):
+        tiles, calls = [], []
+        gather, matmul = nn._im2col_tiles, np.matmul
+
+        def gather_spy(xp, lo, hi, buf, *rest):
+            for a, z, cols in gather(xp, lo, hi, buf, *rest):
+                tiles.append((cols, buf))
+                yield a, z, cols
+
+        def matmul_spy(a, b, out):
+            calls.append((a, b, out))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(nn, "_im2col_tiles", gather_spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        model = nn.build_model(variant, width_scale=width, seed=0)
+        rng = np.random.default_rng(44)
+        # 5 samples: some convs end in a partial tile, AP conv1 at r = 4 among them
+        x = rng.random((5, *model.input_shape), dtype=np.float32)
+        batches = [x, ap_batch(5)] if variant == "AP" else [x]  # AP tensors take conv1's row-phase path
+        for x in batches:
+            for layer, pooled in zip([l for l in model.layers if isinstance(l, nn.Conv2d)], nn.POOL_AFTER):
+                out = layer.forward(x, train=True)
+                layer.backward(rng.random(out.shape, dtype=np.float32), need_dx=False)
+                x = layer.forward(x, pool_relu=pooled) if pooled else np.maximum(out, 0)
+        assert len(tiles) >= 5 * len(batches)
+        for cols, buf in tiles:
+            [gemm] = [call for call in calls if cols is call[0] or cols is call[1]]
+            assert all(m.ndim == 2 and blas_ready(m) for m in gemm)
+            assert np.shares_memory(cols, buf)  # the gather's own buffer, not a copy
 
 
 def traced_peak_mb(fn, *args):
