@@ -15,9 +15,13 @@ scenario's ``train`` and ``test`` and the psnr_sweep's ``psnr``, each as
 ``manifest_<split>.json`` plus ``chunks/<split>_NNNNNN.iq`` payloads with
 ``.iq.json`` sidecars.  train and eval --manifest read one manifest;
 eval --psnr-dir D reads ``D/manifest_psnr.json``.  A manifest that lists
-no chunks is a bad input.  repr --kind V writes the input that train and
-eval feed a variant V (S, AP, A or P) model for one 1024-sample chunk, as
-text with its channels side by side.
+no chunks is a bad input; an entry whose label contradicts its sidecar's
+radar spans is a failure.  eval writes ``reports.csv`` under --out: a
+header, plus the --manifest accuracy and confusion row when given.  With
+--psnr-dir it also writes one ``pd_<variant>_<waveform>.csv`` per
+waveform, detection probability against PSNR.  repr --kind V writes the
+input that train and eval feed a variant V (S, AP, A or P) model for one
+1024-sample chunk, as text with its channels side by side.
 
 Exit codes: 0 success; 1 a bad config, a missing input file or an empty
 manifest; 2 any other failure, with its traceback on stderr.
@@ -286,17 +290,16 @@ def cmd_eval(args) -> int:
     psnr = _load_manifest(Path(args.psnr_dir) / "manifest_psnr.json") if args.psnr_dir else None
     model = nn.load_model(args.model)
     out_dir = Path(args.out)
-    reports, curves = [], []
+    report, curves = None, []
     if manifest is not None:
         report = evaluate.evaluate_manifest(
             model, manifest, Path(args.manifest).parent, threshold=cfg.threshold
         )
-        reports.append(report)
         print(f"{model.variant} accuracy on {manifest.split}: {report.accuracy:.4f}")
     if psnr is not None:
         sets = ds.group_psnr_sets(psnr, args.psnr_dir)
-        curves.extend(evaluate.pd_curve(model, sets, threshold=cfg.threshold))
-    written = evaluate.emit_curves(reports, curves, out_dir)
+        curves = evaluate.pd_curve(model, sets, threshold=cfg.threshold)
+    written = evaluate.emit_curves(report, curves, out_dir)
     print(f"wrote {len(written)} files to {out_dir}")
     return 0
 

@@ -314,7 +314,11 @@ def load_chunk(root, entry: ManifestEntry) -> IqChunk:
     stream = read_iq_file(path)
     if len(stream) != CHUNK_LEN:
         raise ValueError(f"{path} holds {len(stream)} samples, not one {CHUNK_LEN}-sample chunk")
-    return as_chunk(stream, entry.provenance)
+    chunk = as_chunk(stream, entry.provenance)
+    if chunk.label != entry.label:
+        raise ValueError(f"{path}: the manifest labels it {entry.label}, "
+                         f"its sidecar's radar spans label it {chunk.label}")
+    return chunk
 
 
 def build_dataset(cfg: ScenarioConfig, out_dir, workers: int = 1) -> BuiltDataset:

@@ -1,4 +1,4 @@
-"""Model scoring: accuracy reports, detection-probability curves, curve export."""
+"""Model scoring: an accuracy report, detection-probability curves, and their CSV files."""
 
 from __future__ import annotations
 
@@ -63,15 +63,15 @@ def evaluate(model: nn.CnnModel, chunks, labels, threshold: float = 0.5) -> Eval
         raise ValueError("evaluation requires a non-empty dataset")
     if len(chunks) != labels.size:
         raise ValueError(f"{len(chunks)} chunks but {labels.size} labels")
+    if not np.isin(labels, (0, 1)).all():
+        bad = sorted(set(labels.tolist()) - {0, 1})
+        raise ValueError(f"labels must be 0 (radar) or 1 (no radar), got {bad}")
     p0 = _probs_class0(model, chunks)
-    decisions = np.where(p0 >= threshold, 0, 1)
-    confusion = np.zeros((2, 2), dtype=np.int64)
-    for t, d in zip(labels, decisions):
-        confusion[t, d] += 1
-    accuracy = float(np.trace(confusion) / labels.size)
+    decisions = ~(p0 >= threshold)  # 1: no radar, NaN included
+    confusion = np.bincount(2 * labels + decisions, minlength=4).reshape(2, 2)
     return EvalReport(
         variant=model.variant,
-        accuracy=accuracy,
+        accuracy=float(np.trace(confusion) / labels.size),
         confusion=confusion,
         probs_class0=p0,
         labels=labels,
@@ -87,13 +87,19 @@ def evaluate_manifest(model: nn.CnnModel, manifest: DatasetManifest, root,
 
 def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet],
              threshold: float = 0.5) -> list[PdCurve]:
-    """Detection probability per PSNR set, one curve per waveform, tagged by the model variant."""
+    """Detection probability per PSNR set, one curve per waveform, tagged by the model variant.
+
+    Every set's chunks are scored in one pass, whose batches run across set
+    boundaries; a set's Pd is the mean of its slice of the decisions.  A
+    chunk's P(radar) may differ in its last float32 bits from the one it
+    gets in another batch, as batch shape moves BLAS summation order.
+    """
+    hits = _probs_class0(model, [c for pset in psnr_sets for c in pset.chunks]) >= threshold
+    ends = np.cumsum([len(pset.chunks) for pset in psnr_sets], dtype=np.intp)
     by_waveform: dict[str, list[PdPoint]] = {}
-    for pset in psnr_sets:
-        p0 = _probs_class0(model, pset.chunks)
-        pd = float(np.mean(p0 >= threshold))
+    for pset, set_hits in zip(psnr_sets, np.split(hits, ends[:-1])):
         by_waveform.setdefault(pset.waveform, []).append(
-            PdPoint(pset.measured_psnr_db, pd, len(pset.chunks))
+            PdPoint(pset.measured_psnr_db, float(np.mean(set_hits)), set_hits.size)
         )
     return [
         PdCurve(model.variant, waveform, tuple(sorted(points, key=lambda p: p.psnr_db)))
@@ -101,55 +107,25 @@ def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet],
     ]
 
 
-def emit_curves(reports: list[EvalReport], curves: list[PdCurve], out_dir) -> list[Path]:
-    """Write one delimited table per curve plus accuracy and comparison tables.
+def emit_curves(report: EvalReport | None, curves: list[PdCurve], out_dir) -> list[Path]:
+    """Write ``reports.csv`` and one ``pd_<model>_<waveform>.csv`` per curve under ``out_dir``.
 
-    Output is deterministic: stable ordering, 6-decimal formatting.
+    ``reports.csv`` holds a header and, given a report, its one row.  Output
+    is deterministic: stable ordering, 6-decimal formatting.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out_dir / "reports.csv"
-    lines = ["model,accuracy,n,c00,c01,c10,c11"]
-    for rep in sorted(reports, key=lambda r: r.variant):
-        c = rep.confusion
-        lines.append(
-            f"{rep.variant},{rep.accuracy:.6f},{rep.labels.size},"
+    tables = {"reports.csv": ["model,accuracy,n,c00,c01,c10,c11"]}
+    if report is not None:
+        c = report.confusion
+        tables["reports.csv"].append(
+            f"{report.variant},{report.accuracy:.6f},{report.labels.size},"
             f"{c[0, 0]},{c[0, 1]},{c[1, 0]},{c[1, 1]}"
         )
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
     for curve in sorted(curves, key=lambda c: (c.model_tag, c.waveform)):
-        path = out_dir / f"pd_{curve.model_tag}_{curve.waveform}.csv"
-        lines = ["psnr_db,pd,n"]
-        lines += [f"{p.psnr_db:.6f},{p.pd:.6f},{p.n}" for p in curve.points]
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-
-    path = out_dir / "comparison.csv"
-    tags = sorted({c.model_tag for c in curves})
-    lines = [",".join(["waveform", "psnr_db", *(f"pd_{t}" for t in tags), "n"])]
-    by_key: dict[str, dict[str, PdCurve]] = {}
-    for curve in curves:
-        by_key.setdefault(curve.waveform, {})[curve.model_tag] = curve
-    for waveform in sorted(by_key):
-        group = by_key[waveform]
-        n_points = max(len(c.points) for c in group.values())
-        for i in range(n_points):
-            row = None
-            cells = []
-            for tag in tags:
-                curve = group.get(tag)
-                if curve is not None and i < len(curve.points):
-                    row = curve.points[i]
-                    cells.append(f"{row.pd:.6f}")
-                else:
-                    cells.append("")
-            lines.append(
-                f"{waveform},{row.psnr_db:.6f}," + ",".join(cells) + f",{row.n}"
-            )
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-    return written
+        tables[f"pd_{curve.model_tag}_{curve.waveform}.csv"] = [
+            "psnr_db,pd,n", *(f"{p.psnr_db:.6f},{p.pd:.6f},{p.n}" for p in curve.points)
+        ]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, lines in tables.items():
+        (out_dir / name).write_text("\n".join(lines) + "\n")
+    return [out_dir / name for name in tables]

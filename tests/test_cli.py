@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +111,7 @@ def test_end_to_end_pipeline(tmp_path, monkeypatch, capsys):
     assert cli.main(["eval", "--model", str(model), "--manifest", str(data / "manifest_test.json"),
                      "--psnr-dir", str(data), "--out", str(out)]) == 0
     assert (out / "reports.csv").read_text().splitlines()[1].startswith("AP,")
-    assert [p.name for p in sorted(out.glob("pd_*.csv"))] == ["pd_AP_pc10.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["pd_AP_pc10.csv", "reports.csv"]
 
     assert cli.main(["repr", "--chunk", str(data / "chunks" / "test_000000.iq"), "--kind", "AP",
                      "--out", str(tmp_path / "ap.txt")]) == 0
@@ -261,6 +265,95 @@ def test_eval_psnr_dir_without_a_psnr_split_exits_1(tmp_path, capsys):
     assert "manifest_psnr.json" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def small_dataset(tmp_path, **psnr_sweep):
+    """A 2-chunk-per-class scenario under tmp_path/data, with a PSNR split when psnr_sweep is given."""
+    doc = {"scenario": {"train_per_class": 1, "test_per_class": 1, "seed": 3}}
+    if psnr_sweep:
+        doc["psnr_sweep"] = psnr_sweep
+    data = tmp_path / "data"
+    config = write_config(tmp_path / "dataset.json", doc)
+    assert cli.main(["dataset", "--config", config, "--out", str(data)]) == 0
+    return data
+
+
+def small_model(tmp_path):
+    path = tmp_path / "s.cnn"
+    nn.save_model(nn.build_model("S", width_scale=1 / 32), path)
+    return path
+
+
+def test_eval_with_only_a_manifest_writes_one_report_row(tmp_path):
+    data, model = small_dataset(tmp_path), small_model(tmp_path)
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--model", str(model), "--manifest", str(data / "manifest_test.json"),
+                     "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["reports.csv"]
+    header, row = (out / "reports.csv").read_text().splitlines()
+    assert header == "model,accuracy,n,c00,c01,c10,c11" and row.startswith("S,") and row.split(",")[2] == "2"
+
+
+def test_eval_with_only_a_psnr_dir_writes_header_only_report_and_one_curve_per_waveform(tmp_path):
+    data = small_dataset(tmp_path, targets_db=[0, 9], chunks_per_set=2, waveforms=["pc10", "lfm10"])
+    model = small_model(tmp_path)
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--model", str(model), "--psnr-dir", str(data), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["pd_S_lfm10.csv", "pd_S_pc10.csv", "reports.csv"]
+    assert (out / "reports.csv").read_text() == "model,accuracy,n,c00,c01,c10,c11\n"
+    for waveform in ("pc10", "lfm10"):
+        assert len((out / f"pd_S_{waveform}.csv").read_text().splitlines()) == 3
+
+
+def tamper_label(data):
+    """Flip the first test entry's label in manifest_test.json; return that chunk's path."""
+    path = data / "manifest_test.json"
+    doc = json.loads(path.read_text())
+    entry = doc["entries"][0]
+    entry["label"] = 1 - entry["label"]
+    path.write_text(json.dumps(doc))
+    return data / entry["path"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_label_contradicting_the_sidecar_exits_2(tmp_path, capsys, command):
+    data, model = small_dataset(tmp_path), small_model(tmp_path)
+    chunk = tamper_label(data)
+    out = tmp_path / "out"
+    manifest = str(data / "manifest_test.json")
+    if command == "train":
+        config = write_config(tmp_path / "train.json", {"variant": "S", "width_scale": 1 / 32})
+        argv = ["train", "--config", config, "--manifest", manifest, "--out", str(out / "m.cnn")]
+    else:
+        argv = ["eval", "--model", str(model), "--manifest", manifest, "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{chunk}: the manifest labels it" in err
+    assert not out.exists()
+
+
+def test_process_exit_status(tmp_path):
+    """``python -m radarmon.cli`` exits with main's code: 0, 1 for a bad config, 2 for a failure."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "radarmon.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    noise = write_config(tmp_path / "noise.json", {"emitter": "noise", "duration_s": 1e-4})
+    ok = run("synth", "--config", noise, "--out", str(tmp_path / "noise.iq"))
+    assert ok.returncode == 0, ok.stderr
+    bad = run("eval", "--config", write_config(tmp_path / "eval.json", {"threshold": 5.0}),
+              "--model", str(tmp_path / "m.cnn"), "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 1 and "threshold" in bad.stderr
+    data, model = small_dataset(tmp_path), small_model(tmp_path)
+    chunk = tamper_label(data)
+    failed = run("eval", "--model", str(model), "--manifest", str(data / "manifest_test.json"),
+                 "--out", str(tmp_path / "eval"))
+    assert failed.returncode == 2 and str(chunk) in failed.stderr
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -214,6 +215,15 @@ class TestBuildDataset(object):
         entry = ds.ManifestEntry("odd.iq", 1, "noise")
         with pytest.raises(ValueError, match=rf"odd\.iq holds {n} samples, not one 1024-sample chunk"):
             ds.load_chunk(tmp_path, entry)
+
+
+    def test_load_chunk_rejects_a_manifest_label_its_spans_contradict(self, tmp_path):
+        built = ds.build_dataset(small_config(train_per_class=1, test_per_class=1, seed=35), tmp_path)
+        for entry in built.test.entries:
+            flipped = dataclasses.replace(entry, label=1 - entry.label)
+            with pytest.raises(ValueError, match=rf"{entry.path}: the manifest labels it {flipped.label}, "
+                                                 rf"its sidecar's radar spans label it {entry.label}"):
+                ds.load_chunk(tmp_path, flipped)
 
 
 class TestEstimatePsnr:

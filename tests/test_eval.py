@@ -14,7 +14,7 @@ from radarmon.evaluate import (
     pd_curve,
 )
 from radarmon.iqcore import make_chunk
-from radarmon.represent import model_input
+from radarmon.represent import model_batch, model_input
 
 
 def constant_model(p_class0_high=True, variant="S"):
@@ -73,6 +73,13 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             evaluate(constant_model(), [], [])
+
+    def test_labels_outside_0_and_1_rejected(self):
+        # as confusion indices, -1 would count in row 1 and 2 would fall off the matrix
+        chunks = noise_chunks(np.random.default_rng(11), 3, 0)
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match=rf"labels must be 0 \(radar\) or 1 \(no radar\), got \[{bad}\]"):
+                evaluate(constant_model(True), chunks, [0, bad, 1])
 
     def test_chunk_and_label_counts_must_match(self):
         chunks = noise_chunks(np.random.default_rng(10), 4, 0)
@@ -142,6 +149,45 @@ class TestPdCurve:
         assert [p.psnr_db for p in curve.points] == [-5.0, 2.0, 10.0]
 
 
+@pytest.fixture(scope="module")
+def psnr_sets():
+    """Four radar+noise sets of 53 chunks, two waveforms: 212 chunks, so the last batch straddles set 4."""
+    waveforms = (ds.TABLE_WAVEFORMS[1], ds.TABLE_WAVEFORMS[3])
+    return ds.build_psnr_sets(waveforms, (0.0, 9.0), 53, seed=1)
+
+
+class TestPdCurveOnePass:
+    def test_one_forward_per_full_batch_across_sets(self, psnr_sets, monkeypatch):
+        calls = []
+        forward = nn.forward
+
+        def spy(model, x, **kwargs):
+            calls.append(len(x))
+            return forward(model, x, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", spy)
+        pd_curve(nn.build_model("S", width_scale=1 / 32, seed=0), psnr_sets)
+        n = sum(len(s.chunks) for s in psnr_sets)
+        assert n > 200
+        assert len(calls) == -(-n // 200)
+        assert calls == [200, n - 200]
+
+    @pytest.mark.parametrize("variant", ["S", "AP"])
+    def test_curves_equal_per_set_scoring(self, psnr_sets, variant):
+        model = nn.build_model(variant, width_scale=1 / 32, seed=2)
+        per_set = [nn.forward(model, model_batch(s.chunks, variant), fused=True)[:, 0] for s in psnr_sets]
+        # a cut at the median splits the random model's decisions, so every Pd tests the slicing
+        threshold = float(np.median(np.concatenate(per_set)))
+        by_waveform = {}
+        for s, p0 in zip(psnr_sets, per_set):
+            by_waveform.setdefault(s.waveform, []).append(
+                PdPoint(s.measured_psnr_db, float(np.mean(p0 >= threshold)), len(s.chunks)))
+        expected = [PdCurve(variant, w, tuple(sorted(points, key=lambda p: p.psnr_db)))
+                    for w, points in sorted(by_waveform.items())]
+        assert 0 < np.mean([p.pd for c in expected for p in c.points]) < 1
+        assert pd_curve(model, psnr_sets, threshold) == expected
+
+
 class TestEmitCurves:
     def curves_for(self, tags, waveforms, points):
         curves = []
@@ -152,13 +198,14 @@ class TestEmitCurves:
 
     def test_file_count_two_models_four_waveforms(self, tmp_path):
         curves = self.curves_for(["S", "AP"], ["pc2", "pc10", "lfm10", "barker13"], [0.0, 5.0])
-        written = emit_curves([], curves, tmp_path)
+        written = emit_curves(None, curves, tmp_path)
         names = sorted(p.name for p in written)
-        assert len([n for n in names if n.startswith("pd_")]) == 8
-        assert "comparison.csv" in names
+        assert names == sorted(["reports.csv", *(f"pd_{c.model_tag}_{c.waveform}.csv" for c in curves)])
+        assert names == sorted(p.name for p in tmp_path.iterdir())
 
     def test_empty_inputs_give_header_only(self, tmp_path):
-        written = emit_curves([], [], tmp_path)
+        written = emit_curves(None, [], tmp_path)
+        assert written == [tmp_path / "reports.csv"]
         for path in written:
             lines = path.read_text().splitlines()
             assert len(lines) == 1 and "," in lines[0]
@@ -168,13 +215,13 @@ class TestEmitCurves:
         chunks = noise_chunks(rng, 4, 0)
         report = evaluate(constant_model(True), chunks, [0] * 4)
         curves = self.curves_for(["S"], ["pc2"], [1.0, 2.0])
-        emit_curves([report], curves, tmp_path / "a")
-        emit_curves([report], curves, tmp_path / "b")
-        for name in ("reports.csv", "pd_S_pc2.csv", "comparison.csv"):
+        emit_curves(report, curves, tmp_path / "a")
+        emit_curves(report, curves, tmp_path / "b")
+        for name in ("reports.csv", "pd_S_pc2.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_formatting_stability(self, tmp_path):
         curves = [PdCurve("S", "pc2", (PdPoint(1.23456789, 0.87654321, 200),))]
-        emit_curves([], curves, tmp_path)
+        emit_curves(None, curves, tmp_path)
         text = (tmp_path / "pd_S_pc2.csv").read_text()
         assert text == "psnr_db,pd,n\n1.234568,0.876543,200\n"
