@@ -25,8 +25,10 @@ input that train and eval feed a variant V (S, AP, A or P) model for one
 
 Exit codes: 0 success; 1 a bad config, a missing input file or an empty
 manifest; 2 any other failure, with its traceback on stderr.
-RADARMON_WORKERS (default 1) sets the dataset-build process count; the
-output does not depend on it.
+RADARMON_WORKERS (default 1) sets the process count that builds every
+split; the output does not depend on it.  Above 1 the processes re-import
+the calling script: ``python -m radarmon.cli`` and the ``radarmon`` script
+are safe, a script that calls ``main`` needs ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
@@ -251,9 +253,10 @@ def cmd_dataset(args) -> int:
         print(f"wrote {n} chunks and manifests to {out_dir}")
     if cfg.psnr_sweep:
         sweep = cfg.psnr_sweep
-        sets = ds.build_psnr_sets(sweep.waveforms, sweep.targets_db, sweep.chunks_per_set, sweep.seed)
-        ds.write_psnr_split(out_dir, sweep.seed, sets)
-        print(f"wrote {len(sets)} PSNR sets to {out_dir / 'manifest_psnr.json'}")
+        jobs = ds.psnr_jobs(sweep.waveforms, sweep.targets_db, sweep.chunks_per_set, sweep.seed)
+        chunks = ds.run_jobs(jobs, int(workers))
+        ds.write_split(out_dir, "psnr", sweep.seed, chunks, ds.ScenarioConfig.sample_rate_hz)
+        print(f"wrote {len(jobs) // sweep.chunks_per_set} PSNR sets to {out_dir / 'manifest_psnr.json'}")
     return 0
 
 

@@ -9,10 +9,10 @@ samples.  PSNR is estimated from the synthesizer's ground-truth masks:
 mean power over pulse samples against mean power over the rest.
 
 On disk every chunk set is a split: ``train``, ``test`` or ``psnr``.
-``write_split`` stores a split as ``chunks/<split>_NNNNNN.iq`` payloads
-(each with its ``.iq.json`` sidecar) and one ``manifest_<split>.json``.
-``write_psnr_split`` gives each ``psnr`` entry its set's waveform and
-target PSNR; ``group_psnr_sets`` regroups those entries into ``PsnrSet``s.
+``scenario_jobs`` or ``psnr_jobs`` lists a split's per-chunk jobs, ``run_jobs``
+runs them, and ``write_split`` streams the results to ``chunks/<split>_NNNNNN.iq``
+payloads with ``.iq.json`` sidecars and one ``manifest_<split>.json``.
+``group_psnr_sets`` regroups ``psnr`` entries into ``PsnrSet``s by waveform and target.
 
 A chunk's ground truth is its radar mask; its sidecar holds the mask as
 radar spans.  ``iqcore`` maps between the two: ``as_stream`` on write,
@@ -21,13 +21,11 @@ radar spans.  ``iqcore`` maps between the two: ``as_stream`` on write,
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -292,21 +290,29 @@ def synth_entry_chunk(cfg: ScenarioConfig, split: str, index: int, label: int) -
     return chunk, meta
 
 
-def _synth_job(job: tuple[ScenarioConfig, str, int]) -> tuple[IqChunk, dict]:
-    cfg, split, index = job
-    return synth_entry_chunk(cfg, split, index, index % 2)
-
-
-def iter_split(cfg: ScenarioConfig, split: str, map_fn=map):
-    """Yield (index, chunk, meta) for one split, class-balanced and deterministic.
-
-    ``map_fn`` runs the per-chunk synthesis (the builtin ``map`` or an
-    executor's); chunks come back in index order either way.
-    """
+def scenario_jobs(cfg: ScenarioConfig, split: str) -> list[tuple]:
+    """One ``run_jobs`` job per chunk of a ``train`` or ``test`` split, class-balanced by index parity."""
     per_class = cfg.train_per_class if split == "train" else cfg.test_per_class
-    jobs = [(cfg, split, index) for index in range(2 * per_class)]
-    for index, (chunk, meta) in enumerate(map_fn(_synth_job, jobs)):
-        yield index, chunk, meta
+    return [(synth_entry_chunk, cfg, split, index, index % 2) for index in range(2 * per_class)]
+
+
+def _run_job(job: tuple) -> tuple[IqChunk, dict]:
+    fn, *args = job
+    return fn(*args)
+
+
+def run_jobs(jobs: list[tuple], workers: int = 1):
+    """Yield each job's (chunk, meta) in job order; a job is ``(function, *args)``.
+
+    Above one worker the jobs run in a pool of spawned processes that lasts
+    until the last result is read.  The processes re-import the calling
+    script: it needs an ``if __name__ == "__main__":`` guard.
+    """
+    if workers == 1:
+        yield from map(_run_job, jobs)
+    else:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+            yield from pool.map(_run_job, jobs, chunksize=16)
 
 
 def load_chunk(root, entry: ManifestEntry) -> IqChunk:
@@ -324,19 +330,12 @@ def load_chunk(root, entry: ManifestEntry) -> IqChunk:
 def build_dataset(cfg: ScenarioConfig, out_dir, workers: int = 1) -> BuiltDataset:
     """Synthesize all chunks and write the ``train`` and ``test`` splits under ``out_dir``.
 
-    With ``workers > 1`` chunks are synthesized in that many processes; each
-    chunk's RNG stream derives from (seed, split, index), and files are
-    written here in index order, so the output is byte-identical whatever
-    the worker count.
+    ``workers`` goes to ``run_jobs``: above one, a calling script needs an
+    ``if __name__ == "__main__":`` guard.  Each chunk's RNG stream derives
+    from (seed, split, index), so the files are the same whatever it is.
     """
-    manifests = {}
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, spawn) if workers > 1 else contextlib.nullcontext() as pool:
-        map_fn = partial(pool.map, chunksize=16) if pool else map
-        for split in ("train", "test"):
-            items = ((chunk, meta) for _, chunk, meta in iter_split(cfg, split, map_fn))
-            manifests[split] = write_split(out_dir, split, cfg.seed, items, cfg.sample_rate_hz)
-    return BuiltDataset(train=manifests["train"], test=manifests["test"])
+    return BuiltDataset(*(write_split(out_dir, split, cfg.seed, run_jobs(scenario_jobs(cfg, split), workers),
+                                      cfg.sample_rate_hz) for split in ("train", "test")))
 
 
 def write_split(out_dir, split: str, seed: int, items, sample_rate_hz: float) -> DatasetManifest:
@@ -404,44 +403,38 @@ class PsnrSet:
     chunks: tuple[IqChunk, ...]
 
 
-def build_psnr_sets(
-    waveforms: tuple[WaveformSpec, ...], targets_db, chunks_per_set: int, seed: int = 0
-) -> list[PsnrSet]:
-    """Radar+noise chunk sets with noise power solved from each target PSNR.
+def synth_psnr_chunk(cfg: ScenarioConfig, index: int, waveform: WaveformSpec,
+                     target_db: float) -> tuple[IqChunk, dict]:
+    """Chunk ``index`` of the ``psnr`` split: radar plus noise whose power is solved from ``target_db``."""
+    rng = _entry_rng(cfg.seed, "psnr", index)
+    noise_power = 0.0 if target_db == math.inf else cfg.radar_peak_amplitude**2 / 10 ** (target_db / 10)
+    offset = _choice(rng, cfg.carrier_offsets_hz)
+    window, _ = _radar_window(cfg, rng, waveform, offset, use_multipath=False)
+    mixed = mix([window], noise_power=noise_power, seed=rng.integers(2**63))
+    return as_chunk(mixed, provenance="radar+noise"), {"waveform": waveform.name, "psnr_db": float(target_db)}
+
+
+def psnr_jobs(waveforms: tuple[WaveformSpec, ...], targets_db, chunks_per_set: int, seed: int = 0):
+    """One ``run_jobs`` job per ``psnr`` chunk: ``chunks_per_set`` per (waveform, target), in that order.
 
     Carrier offsets, sample rate, PRI and peak amplitude are the
     ``ScenarioConfig`` defaults.
     """
     cfg = ScenarioConfig(train_per_class=1, test_per_class=1, waveforms=waveforms, seed=seed)
-    peak = cfg.radar_peak_amplitude
+    pairs = [(w, t) for w in waveforms for t in targets_db]
+    return [(synth_psnr_chunk, cfg, i, *pairs[i // chunks_per_set]) for i in range(len(pairs) * chunks_per_set)]
+
+
+def build_psnr_sets(
+    waveforms: tuple[WaveformSpec, ...], targets_db, chunks_per_set: int, seed: int = 0
+) -> list[PsnrSet]:
+    """The ``psnr_jobs`` chunks, run serially and held as one ``PsnrSet`` per (waveform, target)."""
+    built = list(run_jobs(psnr_jobs(waveforms, targets_db, chunks_per_set, seed)))
     sets = []
-    index = 0
-    for waveform in waveforms:
-        for target in targets_db:
-            noise_power = 0.0 if math.isinf(target) and target > 0 else peak**2 / 10 ** (target / 10)
-            chunks = []
-            for _ in range(chunks_per_set):
-                rng = _entry_rng(seed, "psnr", index)
-                index += 1
-                offset = _choice(rng, cfg.carrier_offsets_hz)
-                window, _ = _radar_window(cfg, rng, waveform, offset, use_multipath=False)
-                mixed = mix([window], noise_power=noise_power, seed=rng.integers(2**63))
-                chunks.append(as_chunk(mixed, provenance="radar+noise"))
-            sets.append(
-                PsnrSet(
-                    waveform=waveform.name,
-                    target_psnr_db=float(target),
-                    measured_psnr_db=estimate_psnr(chunks),
-                    chunks=tuple(chunks),
-                )
-            )
+    for lo in range(0, len(built), chunks_per_set):
+        chunks, metas = zip(*built[lo : lo + chunks_per_set])
+        sets.append(PsnrSet(metas[0]["waveform"], metas[0]["psnr_db"], estimate_psnr(chunks), chunks))
     return sets
-
-
-def write_psnr_split(out_dir, seed: int, sets: list[PsnrSet]) -> DatasetManifest:
-    """Write ``sets`` in order as the ``psnr`` split; each entry carries its set's waveform and target."""
-    items = ((c, {"waveform": s.waveform, "psnr_db": s.target_psnr_db}) for s in sets for c in s.chunks)
-    return write_split(out_dir, "psnr", seed, items, ScenarioConfig.sample_rate_hz)
 
 
 def group_psnr_sets(manifest: DatasetManifest, root) -> list[PsnrSet]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -48,25 +49,24 @@ _BATCH = 200  # chunks per forward; bounds memory whatever the number scored
 
 
 def _probs_class0(model: nn.CnnModel, chunks) -> np.ndarray:
-    """P(radar) per chunk, from the model's own representation in ``_BATCH``-chunk batches."""
-    probs = []
-    for lo in range(0, len(chunks), _BATCH):
-        x = model_batch(chunks[lo : lo + _BATCH], model.variant)
-        probs.append(nn.forward(model, x, fused=True)[:, 0])
+    """P(radar) per chunk of the iterable ``chunks``, pulled and scored ``_BATCH`` chunks at a time."""
+    chunks, probs = iter(chunks), []
+    while batch := list(islice(chunks, _BATCH)):
+        probs.append(nn.forward(model, model_batch(batch, model.variant), fused=True)[:, 0])
     return np.concatenate(probs) if probs else np.zeros(0)
 
 
 def evaluate(model: nn.CnnModel, chunks, labels, threshold: float = 0.5) -> EvalReport:
-    """Accuracy and confusion over labeled chunks; decisions by P(radar) >= threshold."""
+    """Accuracy and confusion over labeled chunks, scored as read; decisions by P(radar) >= threshold."""
     labels = np.asarray(labels, dtype=np.intp)
     if labels.size == 0:
         raise ValueError("evaluation requires a non-empty dataset")
-    if len(chunks) != labels.size:
-        raise ValueError(f"{len(chunks)} chunks but {labels.size} labels")
     if not np.isin(labels, (0, 1)).all():
         bad = sorted(set(labels.tolist()) - {0, 1})
         raise ValueError(f"labels must be 0 (radar) or 1 (no radar), got {bad}")
     p0 = _probs_class0(model, chunks)
+    if p0.size != labels.size:
+        raise ValueError(f"{p0.size} chunks but {labels.size} labels")
     decisions = ~(p0 >= threshold)  # 1: no radar, NaN included
     confusion = np.bincount(2 * labels + decisions, minlength=4).reshape(2, 2)
     return EvalReport(
@@ -80,9 +80,8 @@ def evaluate(model: nn.CnnModel, chunks, labels, threshold: float = 0.5) -> Eval
 
 def evaluate_manifest(model: nn.CnnModel, manifest: DatasetManifest, root,
                       threshold: float = 0.5) -> EvalReport:
-    chunks = [load_chunk(root, e) for e in manifest.entries]
-    labels = [e.label for e in manifest.entries]
-    return evaluate(model, chunks, labels, threshold)
+    chunks = (load_chunk(root, e) for e in manifest.entries)
+    return evaluate(model, chunks, [e.label for e in manifest.entries], threshold)
 
 
 def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet],
@@ -94,7 +93,7 @@ def pd_curve(model: nn.CnnModel, psnr_sets: list[PsnrSet],
     chunk's P(radar) may differ in its last float32 bits from the one it
     gets in another batch, as batch shape moves BLAS summation order.
     """
-    hits = _probs_class0(model, [c for pset in psnr_sets for c in pset.chunks]) >= threshold
+    hits = _probs_class0(model, (c for pset in psnr_sets for c in pset.chunks)) >= threshold
     ends = np.cumsum([len(pset.chunks) for pset in psnr_sets], dtype=np.intp)
     by_waveform: dict[str, list[PdPoint]] = {}
     for pset, set_hits in zip(psnr_sets, np.split(hits, ends[:-1])):

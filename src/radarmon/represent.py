@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .iqcore import CHUNK_LEN
+from .nn import INPUT_SHAPES
 
 STFT_WINDOW = 64
 STFT_HOP = 16
@@ -122,8 +123,9 @@ def model_input(chunk, variant: str) -> np.ndarray:
 
 
 def model_batch(chunks, variant: str) -> np.ndarray:
-    """The float32 (N, C, H, W) stack of ``model_input`` over ``chunks``."""
-    return np.stack([model_input(c, variant) for c in chunks], dtype=np.float32)
+    """The float32 (N, C, H, W) stack of ``model_input`` over ``chunks``, each view cast into its slot."""
+    count = len(chunks) if hasattr(chunks, "__len__") else -1  # a generator's batch grows, by up to half again
+    return np.fromiter((model_input(c, variant) for c in chunks), (np.float32, INPUT_SHAPES[variant]), count)
 
 
 def export_matrix(matrix: np.ndarray, path) -> None:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -252,6 +253,24 @@ def test_dataset_json_is_strict_with_a_noise_free_target(tmp_path):
     assert ds.load_manifest(legacy) == manifest
 
 
+def test_psnr_sweep_is_streamed_to_disk(tmp_path, monkeypatch):
+    # the serial build writes each chunk as it is made: the peak does not grow with the sweep
+    monkeypatch.setenv("RADARMON_WORKERS", "1")
+    peaks = []
+    for n in (50, 400):
+        config = write_config(tmp_path / f"psnr{n}.json", {
+            "psnr_sweep": {"targets_db": [0, 6], "chunks_per_set": n // 2, "waveforms": ["pc10"]},
+        })
+        tracemalloc.start()
+        try:
+            assert cli.main(["dataset", "--config", config, "--out", str(tmp_path / f"data{n}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(ds.load_manifest(tmp_path / f"data{n}" / "manifest_psnr.json").entries) == n
+    assert peaks[1] - peaks[0] < 350 * 4 * 2**10  # under 4 KiB a chunk; holding the chunks costs 17
+
+
 def test_eval_psnr_dir_without_a_psnr_split_exits_1(tmp_path, capsys):
     config = write_config(tmp_path / "dataset.json", {"scenario": {"train_per_class": 1, "test_per_class": 1}})
     data = tmp_path / "data"
@@ -354,6 +373,27 @@ def test_process_exit_status(tmp_path):
                  "--out", str(tmp_path / "eval"))
     assert failed.returncode == 2 and str(chunk) in failed.stderr
     assert not (tmp_path / "eval").exists()
+
+
+def test_process_pool_build_through_the_entry_point(tmp_path, monkeypatch):
+    """``python -m radarmon.cli dataset`` in a 2-process pool writes the tree a serial in-process build writes."""
+    config = write_config(tmp_path / "dataset.json", {
+        "scenario": {"train_per_class": 3, "test_per_class": 2, "seed": 5},
+        "psnr_sweep": {"targets_db": [3, math.inf], "chunks_per_set": 20, "waveforms": ["pc2", "lfm10"],
+                       "seed": 6},
+    })
+    src = Path(cli.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "RADARMON_WORKERS": "2"}
+    pooled = subprocess.run([sys.executable, "-m", "radarmon.cli", "dataset", "--config", config,
+                             "--out", str(tmp_path / "pooled")], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
+    assert pooled.returncode == 0, pooled.stderr
+    monkeypatch.setenv("RADARMON_WORKERS", "1")
+    assert cli.main(["dataset", "--config", config, "--out", str(tmp_path / "serial")]) == 0
+    serial = tree_bytes(tmp_path / "serial")
+    assert len(serial) == 2 * (10 + 80) + 3
+    assert tree_bytes(tmp_path / "pooled") == serial
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -35,11 +35,16 @@ def clean_psnr_chunks(rng, n_chunks, amplitude, noise_power, pulse_len=40):
     return chunks
 
 
+def split_chunks(cfg, split):
+    """(index, chunk, meta) for every chunk of a train or test split, in index order."""
+    return [(i, chunk, meta) for i, (chunk, meta) in enumerate(ds.run_jobs(ds.scenario_jobs(cfg, split)))]
+
+
 class TestScenarioGeneration:
     def test_counts_and_balance(self):
         cfg = small_config()
-        train = list(ds.iter_split(cfg, "train"))
-        test = list(ds.iter_split(cfg, "test"))
+        train = split_chunks(cfg, "train")
+        test = split_chunks(cfg, "test")
         assert len(train) == 40 and len(test) == 16
         assert sum(c.label == 0 for _, c, _ in train) == 20
         assert sum(c.label == 1 for _, c, _ in train) == 20
@@ -50,38 +55,38 @@ class TestScenarioGeneration:
 
     def test_class0_visibility_floor(self):
         cfg = small_config(seed=21)
-        for _, chunk, _ in ds.iter_split(cfg, "train"):
+        for _, chunk, _ in split_chunks(cfg, "train"):
             if chunk.label == 0:
                 assert int(chunk.radar_mask.sum()) >= cfg.min_visible_samples
 
     def test_class1_has_empty_mask(self):
         cfg = small_config(seed=22)
-        for _, chunk, _ in ds.iter_split(cfg, "test"):
+        for _, chunk, _ in split_chunks(cfg, "test"):
             if chunk.label == 1:
                 assert not chunk.radar_mask.any()
 
     def test_provenances_cover_subcases(self):
         cfg = small_config(train_per_class=60, seed=23)
-        seen = {c.provenance for _, c, _ in ds.iter_split(cfg, "train")}
+        seen = {c.provenance for _, c, _ in split_chunks(cfg, "train")}
         assert seen == set(ds.CLASS0_SUBCASES) | set(ds.CLASS1_SUBCASES)
 
     def test_generation_is_reproducible(self):
         cfg = small_config(seed=24)
-        a = [c.samples for _, c, _ in ds.iter_split(cfg, "train")]
-        b = [c.samples for _, c, _ in ds.iter_split(cfg, "train")]
+        a = [c.samples for _, c, _ in split_chunks(cfg, "train")]
+        b = [c.samples for _, c, _ in split_chunks(cfg, "train")]
         for xa, xb in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
 
     def test_entry_independent_of_order(self):
         cfg = small_config(seed=25)
         direct, _ = ds.synth_entry_chunk(cfg, "train", 7, 1)
-        in_sequence = [c for i, c, _ in ds.iter_split(cfg, "train") if i == 7][0]
+        in_sequence = [c for i, c, _ in split_chunks(cfg, "train") if i == 7][0]
         np.testing.assert_array_equal(direct.samples, in_sequence.samples)
 
     def test_waveform_metadata_on_class0(self):
         cfg = small_config(seed=26)
         names = {w.name for w in ds.TABLE_WAVEFORMS}
-        for _, chunk, meta in ds.iter_split(cfg, "train"):
+        for _, chunk, meta in split_chunks(cfg, "train"):
             if chunk.label == 0:
                 assert meta["waveform"] in names
                 assert meta["carrier_offset_hz"] in ds.CARRIER_OFFSETS_HZ
@@ -302,7 +307,8 @@ class TestManifestRoundTrip:
 
     def test_psnr_split_round_trip(self, tmp_path):
         sets = ds.build_psnr_sets(ds.TABLE_WAVEFORMS[:2], [-3.0, 6.0, math.inf], 3, seed=8)
-        written = ds.write_psnr_split(tmp_path, 8, sets)
+        chunks = ds.run_jobs(ds.psnr_jobs(ds.TABLE_WAVEFORMS[:2], [-3.0, 6.0, math.inf], 3, seed=8))
+        written = ds.write_split(tmp_path, "psnr", 8, chunks, ds.ScenarioConfig.sample_rate_hz)
         manifest = ds.load_manifest(tmp_path / "manifest_psnr.json")
         assert manifest == written and manifest.split == "psnr"
         back = ds.group_psnr_sets(manifest, tmp_path)

@@ -11,6 +11,7 @@ from radarmon.evaluate import (
     PdPoint,
     emit_curves,
     evaluate,
+    evaluate_manifest,
     pd_curve,
 )
 from radarmon.iqcore import make_chunk
@@ -117,6 +118,23 @@ class TestEvaluate:
                 peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
             finally:
                 tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4
+
+    def test_manifest_chunks_are_scored_as_they_are_read(self, tmp_path):
+        # every entry names one built file, so each read makes a distinct chunk object
+        built = ds.build_dataset(ds.ScenarioConfig(train_per_class=1, test_per_class=1, seed=8), tmp_path)
+        entry = built.test.entries[0]
+        model = nn.build_model("S", width_scale=1 / 16, seed=0)
+        peaks = []
+        for n in (400, 1600):
+            manifest = ds.DatasetManifest("test", 8, (entry,) * n)
+            tracemalloc.start()
+            try:
+                report = evaluate_manifest(model, manifest, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+            assert report.labels.size == n
         assert peaks[1] - peaks[0] < 4
 
 

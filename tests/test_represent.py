@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,20 @@ class TestModelInput:
         assert batch.dtype == np.float32 and batch.shape == (3, *nn.INPUT_SHAPES[variant])
         for got, chunk in zip(batch, chunks):
             np.testing.assert_array_equal(got, model_input(chunk, variant).astype(np.float32))
+
+    @pytest.mark.parametrize("variant", ["AP", "S"])
+    def test_batch_is_filled_in_place(self, variant):
+        # no list of float64 views before the cast: the peak is the float32 batch and one view
+        rng = np.random.default_rng(13)
+        chunks = [rng.standard_normal(1024) + 1j * rng.standard_normal(1024) for _ in range(300)]
+        tracemalloc.start()
+        try:
+            batch = model_batch(chunks, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * batch.nbytes
+        np.testing.assert_array_equal(batch, np.stack([model_input(c, variant) for c in chunks], dtype=np.float32))
 
     def test_works_on_chunks(self):
         chunk = make_chunk(np.ones(1024, dtype=complex), np.zeros(1024, bool), "t")
